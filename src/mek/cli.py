@@ -1,7 +1,8 @@
 """Command-line front end: entropy sweeps, an invariant battery, thermal tables.
 
-Output is deterministic: identical configuration and seed give byte-identical
-files, and the CSV column order never changes between runs.
+Output is deterministic: identical configuration gives byte-identical files
+(``verify`` draws its parameters from ``--seed``), and the CSV column order
+never changes between runs.
 """
 
 import argparse
@@ -42,7 +43,6 @@ class SweepConfig:
     format: str = "csv"
     hbar_omega: float = 1.0
     delta: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.state_family not in FAMILIES:
@@ -73,7 +73,7 @@ def parse_mu_list(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# oracle pipelines (truncated basis -> partial trace -> Jacobi spectrum)
+# oracle pipelines (truncated basis -> partial trace -> LAPACK spectrum)
 # ---------------------------------------------------------------------------
 
 def power_aware_tail_tol(tail_tol: float, mu_list) -> float:
@@ -625,9 +625,6 @@ def _add_common(parser, default_grid):
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", default="csv", choices=("csv", "json"),
                         help="output format (default csv)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for pseudo-random draws (sweeps are grid-driven and "
-                             "deterministic regardless)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -671,7 +668,6 @@ def _config_from_args(args, mu_list) -> SweepConfig:
         format=args.format,
         hbar_omega=args.hbar_omega,
         delta=args.delta,
-        seed=args.seed,
     )
 
 

@@ -281,6 +281,19 @@ def _check_tol(tail_tol: float):
         raise ValueError(f"tail tolerance must lie in (0, 1), got {tail_tol}")
 
 
+def _check_squeezed_tail(r: float, cutoff: FockCutoff, tail_tol: float):
+    """Raise TailMassError if the geometric tail beyond the cutoff exceeds tail_tol."""
+    tail = squeezed_tail_mass(r, cutoff.n_max)
+    if tail > tail_tol:
+        needed = squeezed_cutoff(r, tail_tol).n_max
+        raise TailMassError(
+            f"geometric tail {tail:.3e} exceeds {tail_tol:.3e} at n_max={cutoff.n_max}; "
+            f"need n_max >= {needed}",
+            required_n_max=needed,
+            measured=tail,
+        )
+
+
 # ---------------------------------------------------------------------------
 # state builders
 # ---------------------------------------------------------------------------
@@ -331,15 +344,7 @@ def build_squeezed_vacuum(
 ) -> ComplexAmplitudeTensor:
     """Pair-squeezed vacuum: diagonal tensor e^{i n theta} tanh^n r / cosh r."""
     _check_tol(tail_tol)
-    tail = squeezed_tail_mass(params.r, cutoff.n_max)
-    if tail > tail_tol:
-        needed = squeezed_cutoff(params.r, tail_tol).n_max
-        raise TailMassError(
-            f"geometric tail {tail:.3e} exceeds {tail_tol:.3e} at n_max={cutoff.n_max}; "
-            f"need n_max >= {needed}",
-            required_n_max=needed,
-            measured=tail,
-        )
+    _check_squeezed_tail(params.r, cutoff, tail_tol)
     amps = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     if params.r == 0.0:
         amps[0, 0] = 1.0
@@ -366,6 +371,18 @@ def _boundary_mass(amps: np.ndarray) -> float:
     return total
 
 
+def _check_boundary_leak(amps: np.ndarray, tail_tol: float, operation: str) -> float:
+    """Boundary mass of ``amps``; TailMassError if ``operation`` leaked more than tail_tol."""
+    leak = _boundary_mass(amps)
+    if leak > tail_tol:
+        raise TailMassError(
+            f"{operation} pushed {leak:.3e} probability onto the truncation boundary "
+            f"(tolerance {tail_tol:.3e}); increase n_max",
+            measured=leak,
+        )
+    return leak
+
+
 def apply_two_mode_displacement(
     state: ComplexAmplitudeTensor,
     params: DisplacementParams,
@@ -383,13 +400,7 @@ def apply_two_mode_displacement(
     op_a = operator_exponential(displacement_generator(params.alpha, dim_a - 1))
     op_b = operator_exponential(displacement_generator(params.beta_b, dim_b - 1))
     amps = op_a @ state.amplitudes @ op_b.T
-    leak = _boundary_mass(amps)
-    if leak > tail_tol:
-        raise TailMassError(
-            f"displacement pushed {leak:.3e} probability onto the truncation boundary "
-            f"(tolerance {tail_tol:.3e}); increase n_max",
-            measured=leak,
-        )
+    leak = _check_boundary_leak(amps, tail_tol, "displacement")
     tail_mass = max(state.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, state.mode_dims, tail_mass)
 
@@ -446,27 +457,13 @@ def build_squeezed_coherent(
             f"pair-squeeze operator needs {op_entries} complex entries, budget is {budget}; "
             "reduce n_max or raise MEK_MEM_BUDGET"
         )
-    tail = squeezed_tail_mass(params_s.r, cutoff.n_max)
-    if tail > tail_tol:
-        needed = squeezed_cutoff(params_s.r, tail_tol).n_max
-        raise TailMassError(
-            f"geometric tail {tail:.3e} exceeds {tail_tol:.3e} at n_max={cutoff.n_max}; "
-            f"need n_max >= {needed}",
-            required_n_max=needed,
-            measured=tail,
-        )
+    _check_squeezed_tail(params_s.r, cutoff, tail_tol)
     base = build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
     if params_s.r == 0.0:
         return base
     squeeze_op = operator_exponential(two_mode_squeeze_generator(params_s, cutoff.n_max))
     amps = (squeeze_op @ base.amplitudes.reshape(-1)).reshape(base.mode_dims)
-    leak = _boundary_mass(amps)
-    if leak > tail_tol:
-        raise TailMassError(
-            f"pair squeezing pushed {leak:.3e} probability onto the truncation boundary "
-            f"(tolerance {tail_tol:.3e}); increase n_max",
-            measured=leak,
-        )
+    leak = _check_boundary_leak(amps, tail_tol, "pair squeezing")
     tail_mass = max(base.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, base.mode_dims, tail_mass)
 

@@ -1,8 +1,8 @@
-"""Partial traces, Jacobi diagonalization, and entanglement-spectrum extraction.
+"""Partial traces, Hermitian eigenvalues, and entanglement-spectrum extraction.
 
-The eigensolver is a dependency-free cyclic Jacobi iteration on the real
-symmetric embedding of the Hermitian input, which is plenty for the matrix
-sizes produced by the truncated-basis states (a few hundred rows at most).
+Eigenvalues and singular values come from LAPACK through numpy
+(``eigvalsh`` and ``svd``); this module adds the contract checks around them:
+squareness, Hermiticity, and the round-off window for negative eigenvalues.
 """
 
 import math
@@ -10,14 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractError, DimensionError, NumericalError
+from .exceptions import ContractError, DimensionError
 from .fockspace import ComplexAmplitudeTensor
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 NEGATIVE_CLAMP = -1e-10
 DEFAULT_RANK_TOL = 1e-10
-_MAX_SWEEPS = 60
+# off-diagonal Frobenius norm, relative to the trace, below which a matrix is
+# taken as already diagonal
+_DIAGONAL_REL_TOL = math.sqrt(2.0) * 1e-14
 
 
 @dataclass
@@ -25,7 +27,6 @@ class ReducedDensityMatrix:
     """Hermitian reduced density operator of one tensor factor."""
 
     entries: np.ndarray
-    subsystem_dim: int
 
 
 @dataclass
@@ -68,60 +69,7 @@ def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDen
             f"reduced matrix trace deviates from 1 by {trace_defect:.3e}; "
             "was the input state normalized?"
         )
-    return ReducedDensityMatrix(rho, kept_dim)
-
-
-def _real_symmetric_embedding(hermitian: np.ndarray) -> np.ndarray:
-    """Map H = A + iB to the real symmetric [[A, -B], [B, A]] (eigenvalues doubled)."""
-    a = hermitian.real
-    b = hermitian.imag
-    return np.block([[a, -b], [b, a]])
-
-
-def _off_diagonal_norm(matrix: np.ndarray) -> float:
-    off = matrix - np.diag(np.diag(matrix))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_diagonal(matrix: np.ndarray, threshold: float) -> np.ndarray:
-    """Cyclic Jacobi sweeps on a real symmetric matrix until off-norm < threshold."""
-    m = matrix
-    n = m.shape[0]
-    skip = threshold / (2.0 * n)
-    off = _off_diagonal_norm(m)
-    for _ in range(_MAX_SWEEPS):
-        if off < threshold:
-            return np.diag(m).copy()
-        for p in range(n - 1):
-            row = m[p, p + 1 :]
-            for q_off in np.nonzero(np.abs(row) > skip)[0]:
-                q = p + 1 + q_off
-                apq = m[p, q]
-                # earlier rotations in this row may have zeroed the pivot
-                if abs(apq) <= skip:
-                    continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-        off = _off_diagonal_norm(m)
-    raise NumericalError(
-        f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} vs threshold {threshold:.3e}",
-        residual=off,
-    )
+    return ReducedDensityMatrix(rho)
 
 
 def hermitian_eigenvalues(
@@ -130,24 +78,31 @@ def hermitian_eigenvalues(
 ) -> EntanglementSpectrum:
     """Full eigenvalue set of a Hermitian reduced matrix, sorted descending.
 
-    The Hermitian matrix is embedded as a real symmetric matrix of twice the
-    size (complex entries become 2x2 real blocks), diagonalized by cyclic
-    Jacobi rotations, and the exactly duplicated eigenvalues of the embedding
-    are removed by taking every other entry of the sorted list. Negative
-    round-off above -1e-10 is clamped to zero; anything below is an error.
+    Input whose off-diagonal Frobenius norm is below sqrt(2) * 1e-14 times the
+    trace is taken as diagonal, and its real diagonal is returned sorted; the
+    squeezed-vacuum reductions are exactly diagonal, and this skips an O(d^3)
+    solve on them. Any other input goes to LAPACK's Hermitian eigenvalue
+    solver. Non-finite entries are an error. Negative round-off above -1e-10
+    is clamped to zero; anything below is an error.
     """
     entries = np.asarray(rho.entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionError(f"density matrix must be square, got {entries.shape}")
+    # LAPACK returns NaN or arbitrary values for non-finite input, without error
+    if not np.all(np.isfinite(entries)):
+        raise ContractError("density matrix has non-finite entries")
     herm_defect = float(np.max(np.abs(entries - entries.conj().T)))
     if herm_defect >= HERMITICITY_TOL:
         raise ContractError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
 
-    embedded = _real_symmetric_embedding(entries)
-    threshold = 1e-14 * max(abs(float(np.trace(embedded))), np.finfo(float).tiny)
-    doubled = _jacobi_diagonal(embedded, threshold)
-    ordered = np.sort(doubled, kind="stable")[::-1]
-    eigenvalues = ordered[::2].copy()
+    diagonal = entries.diagonal().real
+    off_diagonal = entries.copy()
+    np.fill_diagonal(off_diagonal, 1j * entries.diagonal().imag)
+    scale = max(abs(float(diagonal.sum())), np.finfo(float).tiny)
+    if float(np.linalg.norm(off_diagonal)) < _DIAGONAL_REL_TOL * scale:
+        eigenvalues = np.sort(diagonal)[::-1].copy()
+    else:
+        eigenvalues = np.linalg.eigvalsh(entries)[::-1].copy()
 
     worst = float(eigenvalues.min(initial=0.0))
     if worst < NEGATIVE_CLAMP:
@@ -166,9 +121,9 @@ def schmidt_rank(spectrum: EntanglementSpectrum) -> int:
 def schmidt_coefficients(state: ComplexAmplitudeTensor, keep_factor: int = 0) -> np.ndarray:
     """Descending singular values of the (kept factor | rest) unfolding.
 
-    Uses one-sided Jacobi orthogonalization, which resolves tiny coefficients
-    far below what squaring through the density matrix would allow, so rank-1
-    checks can be asserted at the 1e-10 level.
+    LAPACK's SVD works on the amplitudes directly, so tiny coefficients are
+    resolved far below what squaring through the density matrix would allow
+    and rank-1 checks can be asserted at the 1e-10 level.
     """
     n_factors = len(state.mode_dims)
     if not 0 <= keep_factor < n_factors:
@@ -177,49 +132,4 @@ def schmidt_coefficients(state: ComplexAmplitudeTensor, keep_factor: int = 0) ->
         )
     kept_dim = state.mode_dims[keep_factor]
     mat = np.moveaxis(state.amplitudes, keep_factor, 0).reshape(kept_dim, -1)
-    if mat.shape[0] < mat.shape[1]:
-        mat = mat.T
-    # the unfolding can be a view of the caller's amplitudes; rotations below
-    # are in place, so always copy
-    work = np.array(mat, dtype=complex)
-    n_cols = work.shape[1]
-    # columns below machine noise relative to the dominant one are already
-    # numerically zero; rotating them against each other never converges, and
-    # the pairwise threshold must sit above the dot-product rounding noise
-    scale = float(np.max(np.sum(np.abs(work) ** 2, axis=0)))
-    floor = (1e-14) ** 2 * scale
-
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n_cols - 1):
-            for q in range(p + 1, n_cols):
-                col_p = work[:, p]
-                col_q = work[:, q]
-                gpp = float(np.vdot(col_p, col_p).real)
-                gqq = float(np.vdot(col_q, col_q).real)
-                gpq = complex(np.vdot(col_p, col_q))
-                if min(gpp, gqq) <= floor:
-                    continue
-                if abs(gpq) <= 1e-13 * math.sqrt(gpp * gqq) or abs(gpq) == 0.0:
-                    continue
-                rotated = True
-                # absorb the cross-term phase into column q, then rotate real
-                conj_phase = np.conj(gpq) / abs(gpq)
-                tau = (gqq - gpp) / (2.0 * abs(gpq))
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                new_p = c * col_p - s * conj_phase * col_q
-                new_q = s * col_p + c * conj_phase * col_q
-                work[:, p] = new_p
-                work[:, q] = new_q
-        if not rotated:
-            break
-    else:
-        raise NumericalError("one-sided Jacobi did not orthogonalize the unfolding")
-
-    values = np.linalg.norm(work, axis=0)
-    return np.sort(values, kind="stable")[::-1]
+    return np.linalg.svd(mat, compute_uv=False)

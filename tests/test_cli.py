@@ -239,6 +239,14 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "checks passed" in out
 
+    @pytest.mark.parametrize("command", ["sweep", "thermo-table"])
+    def test_grid_commands_take_no_seed(self, command, capsys):
+        # sweeps are grid-driven; only verify draws pseudo-random parameters
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_unwritable_path(self, tmp_path, capsys):
         code = cli.main(
             ["sweep", "--grid", "0,1", "--mu", "1", "--out", str(tmp_path / "nope" / "x.csv")]

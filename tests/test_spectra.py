@@ -38,7 +38,7 @@ class TestPartialTrace:
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho.entries, expected, atol=1e-15)
-        assert rho.subsystem_dim == 4
+        assert rho.entries.shape == (4, 4)
 
     def test_squeezed_reduction_is_geometric(self):
         state = build_squeezed_vacuum(SqueezedStateParams(1.0), FockCutoff(60))
@@ -73,14 +73,14 @@ class TestPartialTrace:
 
 class TestHermitianEigenvalues:
     def test_already_diagonal(self):
-        rho = ReducedDensityMatrix(np.diag([0.7, 0.3]).astype(complex), 2)
+        rho = ReducedDensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         spectrum = hermitian_eigenvalues(rho)
         np.testing.assert_allclose(spectrum.probabilities, [0.7, 0.3], atol=0.0)
 
     def test_two_level_mixture(self):
         c = math.exp(-1.0)
         rho = ReducedDensityMatrix(
-            np.array([[0.5, -c / 2.0], [-c / 2.0, 0.5]], dtype=complex), 2
+            np.array([[0.5, -c / 2.0], [-c / 2.0, 0.5]], dtype=complex)
         )
         spectrum = hermitian_eigenvalues(rho)
         assert spectrum.probabilities[0] == pytest.approx(SH_E1_PLUS, abs=1e-14)
@@ -98,7 +98,7 @@ class TestHermitianEigenvalues:
             raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             psd = raw @ raw.conj().T
             psd /= np.trace(psd).real
-            spectrum = hermitian_eigenvalues(ReducedDensityMatrix(psd, dim))
+            spectrum = hermitian_eigenvalues(ReducedDensityMatrix(psd))
             reference = np.linalg.eigvalsh(psd)[::-1]
             assert np.max(np.abs(spectrum.probabilities - reference)) < 1e-12
 
@@ -107,21 +107,41 @@ class TestHermitianEigenvalues:
         raw = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
         psd = raw @ raw.conj().T
         psd /= np.trace(psd).real
-        spectrum = hermitian_eigenvalues(ReducedDensityMatrix(psd, 15))
+        spectrum = hermitian_eigenvalues(ReducedDensityMatrix(psd))
         assert abs(np.sum(spectrum.probabilities) - 1.0) < 1e-10
+
+    def test_small_eigenvalues_keep_order_half_accuracy(self):
+        # order 0.5 weighs the small eigenvalues of a long geometric spectrum
+        # heavily, so their absolute errors show up in the entropy
+        dim, q = 150, 0.8
+        p = q ** np.arange(dim)
+        p /= p.sum()
+        rng = np.random.default_rng(0)
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        unitary, _ = np.linalg.qr(raw)
+        rho = ReducedDensityMatrix((unitary * p) @ unitary.conj().T)
+        spectrum = hermitian_eigenvalues(rho, rank_tolerance=0.0)
+        exact = math.log(np.sum(p ** 0.5)) / (1.0 - 0.5)
+        assert abs(analytic.renyi_general(spectrum, 0.5) - exact) < 1e-9
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ContractError):
-            hermitian_eigenvalues(ReducedDensityMatrix(bad, 2))
+            hermitian_eigenvalues(ReducedDensityMatrix(bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        for entries in (np.diag([bad, 1.0]), np.array([[0.5, bad], [bad, 0.5]])):
+            with pytest.raises(ContractError):
+                hermitian_eigenvalues(ReducedDensityMatrix(entries.astype(complex)))
 
     def test_rejects_genuinely_negative(self):
-        rho = ReducedDensityMatrix(np.diag([1.1, -0.1]).astype(complex), 2)
+        rho = ReducedDensityMatrix(np.diag([1.1, -0.1]).astype(complex))
         with pytest.raises(ContractError):
             hermitian_eigenvalues(rho)
 
     def test_clamps_roundoff_negatives(self):
-        rho = ReducedDensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex), 2)
+        rho = ReducedDensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
         spectrum = hermitian_eigenvalues(rho)
         assert spectrum.probabilities[1] == 0.0
 
