@@ -9,9 +9,7 @@ tables, and the verification battery.
 
 from .analytic import (
     EntropyReport,
-    entropy_report_from_spectrum,
-    entropy_report_sh,
-    entropy_report_squeezed,
+    entropy_report,
     renyi_general,
     renyi_sh,
     renyi_squeezed,

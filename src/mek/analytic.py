@@ -196,42 +196,18 @@ class EntropyReport:
     schmidt_rank_log: float
 
 
-def entropy_report_squeezed(r: float, mu_grid=DEFAULT_MU_GRID) -> EntropyReport:
-    """Closed-form report for the pair-squeezed family."""
-    s_2 = renyi_squeezed(r, 2.0)
+def entropy_report(entropy, mu_grid=DEFAULT_MU_GRID) -> EntropyReport:
+    """Report of one state from its Renyi entropy as a function of the order.
+
+    ``entropy(mu)`` may be a closed form, e.g. ``lambda mu: renyi_squeezed(r, mu)``,
+    or a spectrum route, ``functools.partial(renyi_general, spectrum)``.
+    """
+    s_2 = entropy(2.0)
     return EntropyReport(
-        s_mu_grid=[(mu, renyi_squeezed(r, mu)) for mu in mu_grid],
-        s_vn=renyi_squeezed(r, 1.0),
+        s_mu_grid=[(mu, entropy(mu)) for mu in mu_grid],
+        s_vn=entropy(1.0),
         s_2=s_2,
         purity_gamma=math.exp(-s_2),
-        sce=renyi_squeezed(r, math.inf),
-        schmidt_rank_log=math.inf if r > 0.0 else 0.0,
-    )
-
-
-def entropy_report_sh(params: SHParams, mu_grid=DEFAULT_MU_GRID) -> EntropyReport:
-    """Closed-form report for the qubit-boson superposition family."""
-    s_2 = renyi_sh(params, 2.0)
-    return EntropyReport(
-        s_mu_grid=[(mu, renyi_sh(params, mu)) for mu in mu_grid],
-        s_vn=renyi_sh(params, 1.0),
-        s_2=s_2,
-        purity_gamma=math.exp(-s_2),
-        sce=renyi_sh(params, math.inf),
-        schmidt_rank_log=renyi_sh(params, 0.0),
-    )
-
-
-def entropy_report_from_spectrum(
-    spectrum: EntanglementSpectrum, mu_grid=DEFAULT_MU_GRID
-) -> EntropyReport:
-    """Report computed from an explicit (typically oracle-derived) spectrum."""
-    s_2 = renyi_general(spectrum, 2.0)
-    return EntropyReport(
-        s_mu_grid=[(mu, renyi_general(spectrum, mu)) for mu in mu_grid],
-        s_vn=renyi_general(spectrum, 1.0),
-        s_2=s_2,
-        purity_gamma=math.exp(-s_2),
-        sce=renyi_general(spectrum, math.inf),
-        schmidt_rank_log=renyi_general(spectrum, 0.0),
+        sce=entropy(math.inf),
+        schmidt_rank_log=entropy(0.0),
     )

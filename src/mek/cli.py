@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +18,14 @@ from . import analytic, fockspace, spectra, thermo
 from .exceptions import ContractError, MemoryBudgetError, NumericalError, TailMassError
 from .fockspace import DisplacementParams, FockCutoff, SHParams, SqueezedStateParams
 
-FAMILIES = ("squeezed", "displaced-squeezed", "squeezed-coherent", "coherent", "silbey-harris")
 SWEEP_HEADER = ("param", "mu", "S_mu", "S_vn", "S_2", "purity", "S_inf", "beta_eff", "Z", "F")
 SWEEP_ORACLE_HEADER = SWEEP_HEADER + ("oracle_S_mu", "abs_dev")
 THERMO_HEADER = ("param", "beta_eff", "Z", "ln_Z", "S_inf", "F", "p_max", "lnZ_matches_Sinf")
 ORACLE_DEV_LIMIT = 1e-8
 
-# displacements used by the displaced state families; the entropy columns do
-# not depend on them, the oracle columns exercise that invariance
-SWEEP_ALPHA = 0.5 + 0.0j
-SWEEP_BETA_B = 0.3 + 0.0j
+# displacements (alpha, beta) of the displaced state families; the entropy
+# columns do not depend on them, the oracle columns exercise that invariance
+SWEEP_DISPLACEMENT = DisplacementParams(0.5, 0.3)
 SH_SWEEP_MODES = 2
 
 
@@ -49,8 +48,10 @@ class SweepConfig:
             raise ValueError(f"unknown state family {self.state_family!r}")
         if not self.parameter_grid or not self.mu_list:
             raise ValueError("parameter and mu grids must be non-empty")
-        if any(p < 0 for p in self.parameter_grid):
-            raise ValueError("grid parameters must be non-negative")
+        if not all(0.0 <= p < math.inf for p in self.parameter_grid):
+            raise ValueError("grid parameters must be finite and non-negative")
+        if not (0.0 < self.hbar_omega < math.inf and 0.0 < self.delta < math.inf):
+            raise ValueError("level spacing and gap must be finite and positive")
         if not 0.0 < self.tail_tolerance <= 1e-6:
             raise ValueError("tail tolerance must lie in (0, 1e-6]")
         if self.format not in ("csv", "json"):
@@ -90,83 +91,81 @@ def power_aware_tail_tol(tail_tol: float, mu_list) -> float:
     return tail_tol ** (1.0 / min(fractional))
 
 
+def _reduced_spectrum(
+    state: fockspace.ComplexAmplitudeTensor, rank_tolerance: float, keep_factor: int = 0
+) -> spectra.EntanglementSpectrum:
+    """Entanglement spectrum of the reduced state of factor ``keep_factor``."""
+    rho = spectra.partial_trace(state, keep_factor)
+    return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
+
+
+def _coherent_pair_cutoff(disp: DisplacementParams, mode_tol: float) -> FockCutoff:
+    """Smallest common basis holding each mode's coherent tail below ``mode_tol``."""
+    return FockCutoff(max(
+        fockspace.coherent_cutoff(disp.alpha, mode_tol).n_max,
+        fockspace.coherent_cutoff(disp.beta_b, mode_tol).n_max,
+    ))
+
+
+# The squeezed-family oracles keep every eigenvalue (rank tolerance 0.0): the
+# low-order entropies need the whole geometric tail. The coherent and
+# qubit-boson reductions have rank 1 or 2, so they drop entries below
+# spectra.DEFAULT_RANK_TOL as round-off.
+
 def oracle_squeezed_spectrum(
     r: float,
     theta: float = 0.0,
     tail_tol: float = 1e-12,
     mu_list=(),
-    rank_tolerance: float = 0.0,
 ) -> spectra.EntanglementSpectrum:
     """Spectrum of one mode of the pair-squeezed vacuum via the truncated basis."""
     tol = power_aware_tail_tol(tail_tol, mu_list)
     cutoff = fockspace.squeezed_cutoff(r, tol)
     state = fockspace.build_squeezed_vacuum(SqueezedStateParams(r, theta), cutoff, tol)
-    rho = spectra.partial_trace(state, 0)
-    return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
+    return _reduced_spectrum(state, 0.0)
 
 
 def displaced_state_cutoff(r: float, disp: DisplacementParams, tail_tol: float) -> FockCutoff:
     """Squeezed-state cutoff padded with displacement headroom plus a guard band."""
     base = fockspace.squeezed_cutoff(r, tail_tol).n_max
-    pad = max(
-        fockspace.coherent_cutoff(disp.alpha, tail_tol).n_max,
-        fockspace.coherent_cutoff(disp.beta_b, tail_tol).n_max,
-    )
+    pad = _coherent_pair_cutoff(disp, tail_tol).n_max
     return FockCutoff(base + pad + 4)
 
 
 def build_displaced_squeezed(
-    r: float,
-    disp: DisplacementParams,
-    theta: float = 0.0,
-    tail_tol: float = 1e-12,
-    boundary_tol: float = 1e-10,
+    r: float, disp: DisplacementParams, tail_tol: float = 1e-12
 ) -> fockspace.ComplexAmplitudeTensor:
     """Displace a pair-squeezed vacuum (displacement applied after squeezing)."""
     cutoff = displaced_state_cutoff(r, disp, tail_tol)
-    state = fockspace.build_squeezed_vacuum(SqueezedStateParams(r, theta), cutoff, tail_tol)
-    return fockspace.apply_two_mode_displacement(state, disp, tail_tol=boundary_tol)
+    state = fockspace.build_squeezed_vacuum(SqueezedStateParams(r), cutoff, tail_tol)
+    return fockspace.apply_two_mode_displacement(state, disp)
 
 
-def oracle_displaced_squeezed_spectrum(
-    r, disp, theta=0.0, tail_tol=1e-12, rank_tolerance=0.0, keep_factor=0
-) -> spectra.EntanglementSpectrum:
-    state = build_displaced_squeezed(r, disp, theta, tail_tol)
-    rho = spectra.partial_trace(state, keep_factor)
-    return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
+def oracle_displaced_squeezed_spectrum(r, disp, tail_tol=1e-12) -> spectra.EntanglementSpectrum:
+    return _reduced_spectrum(build_displaced_squeezed(r, disp, tail_tol), 0.0)
 
 
-def oracle_squeezed_coherent_spectrum(
-    r, disp, theta=0.0, tail_tol=1e-12, rank_tolerance=0.0
-) -> spectra.EntanglementSpectrum:
+def oracle_squeezed_coherent_spectrum(r, disp, tail_tol=1e-12) -> spectra.EntanglementSpectrum:
     cutoff = displaced_state_cutoff(r, disp, tail_tol)
     state = fockspace.build_squeezed_coherent(
-        SqueezedStateParams(r, theta), disp, cutoff, tail_tol=1e-10
+        SqueezedStateParams(r), disp, cutoff, tail_tol=1e-10
     )
-    rho = spectra.partial_trace(state, 0)
-    return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
+    return _reduced_spectrum(state, 0.0)
 
 
 def oracle_coherent_spectrum(
-    disp: DisplacementParams, tail_tol: float = 1e-12, rank_tolerance: float = 1e-10
+    disp: DisplacementParams, tail_tol: float = 1e-12
 ) -> spectra.EntanglementSpectrum:
-    n_max = max(
-        fockspace.coherent_cutoff(disp.alpha, tail_tol / 2.0).n_max,
-        fockspace.coherent_cutoff(disp.beta_b, tail_tol / 2.0).n_max,
-    )
-    state = fockspace.build_coherent_two_mode(disp, FockCutoff(n_max), tail_tol)
-    rho = spectra.partial_trace(state, 0)
-    return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
+    cutoff = _coherent_pair_cutoff(disp, tail_tol / 2.0)
+    state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
+    return _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
 
 
-def oracle_sh_spectrum(
-    params: SHParams, tail_tol: float = 1e-12, rank_tolerance: float = 1e-10
-) -> spectra.EntanglementSpectrum:
+def oracle_sh_spectrum(params: SHParams, tail_tol: float = 1e-12) -> spectra.EntanglementSpectrum:
     worst = max(abs(x) for x in params.f)
     cutoff = fockspace.coherent_cutoff(worst, tail_tol / params.n_modes)
     state = fockspace.build_silbey_harris(params, cutoff, tail_tol)
-    rho = spectra.partial_trace(state, 0)
-    return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
+    return _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
 
 
 def fitted_slope(xs, ys) -> float:
@@ -205,70 +204,75 @@ def _sh_params_for(dot: float) -> SHParams:
     return SHParams((component,) * SH_SWEEP_MODES)
 
 
-def _zero_temperature_row() -> tuple:
-    return (math.inf, 1.0, 0.0)
+@dataclass(frozen=True)
+class Family:
+    """Every per-family decision of the sweep and thermo-table commands.
+
+    ``params`` maps a grid value to the family's parameters, once per point;
+    ``entropy(params, mu)`` is the closed-form Renyi entropy,
+    ``model(params, config)`` the effective thermal row (beta_eff, Z, F) and
+    ``oracle(params, config)`` the truncated-basis spectrum. Entries look up
+    ``analytic``, ``thermo`` and ``oracle_*`` as module attributes at call
+    time, so a patched or traced function is the one that runs.
+    """
+
+    params: Callable
+    entropy: Callable
+    model: Callable
+    oracle: Callable
 
 
-def _family_point(config: SweepConfig, param: float) -> dict:
-    """Analytic entropies, thermal data, and (optionally) the oracle spectrum."""
-    family = config.state_family
-    disp = DisplacementParams(SWEEP_ALPHA, SWEEP_BETA_B)
-    if family in ("squeezed", "displaced-squeezed", "squeezed-coherent"):
-        r = param
-        model = thermo.oscillator_model_from_squeezing(r, config.hbar_omega)
-        point = {
-            "entropy": lambda mu: analytic.renyi_squeezed(r, mu),
-            "s_vn": analytic.renyi_squeezed(r, 1.0),
-            "s_2": analytic.renyi_squeezed(r, 2.0),
-            "s_inf": analytic.renyi_squeezed(r, math.inf),
-            "beta": model.beta_eff,
-            "z": model.partition_function,
-            "f": model.free_energy,
-        }
-        if config.oracle:
-            if family == "squeezed":
-                point["spectrum"] = oracle_squeezed_spectrum(
-                    r, tail_tol=config.tail_tolerance, mu_list=config.mu_list
-                )
-            elif family == "displaced-squeezed":
-                point["spectrum"] = oracle_displaced_squeezed_spectrum(
-                    r, disp, tail_tol=config.tail_tolerance
-                )
-            else:
-                point["spectrum"] = oracle_squeezed_coherent_spectrum(
-                    r, disp, tail_tol=config.tail_tolerance
-                )
-        return point
-    if family == "coherent":
-        beta, z, free_energy = _zero_temperature_row()
-        point = {
-            "entropy": lambda mu: 0.0,
-            "s_vn": 0.0,
-            "s_2": 0.0,
-            "s_inf": 0.0,
-            "beta": beta,
-            "z": z,
-            "f": free_energy,
-        }
-        if config.oracle:
-            point["spectrum"] = oracle_coherent_spectrum(
-                DisplacementParams(param, param / 2.0), tail_tol=config.tail_tolerance
-            )
-        return point
-    params = _sh_params_for(param)
-    model = thermo.two_level_model_from_sh(params, config.delta)
-    point = {
-        "entropy": lambda mu: analytic.renyi_sh(params, mu),
-        "s_vn": analytic.renyi_sh(params, 1.0),
-        "s_2": analytic.renyi_sh(params, 2.0),
-        "s_inf": analytic.renyi_sh(params, math.inf),
-        "beta": model.beta_eff,
-        "z": model.partition_function,
-        "f": model.free_energy,
-    }
-    if config.oracle:
-        point["spectrum"] = oracle_sh_spectrum(params, tail_tol=config.tail_tolerance)
-    return point
+def _thermal_row(model: thermo.EffectiveThermalModel) -> tuple:
+    return model.beta_eff, model.partition_function, model.free_energy
+
+
+def _squeezed_family(oracle: Callable) -> Family:
+    """Grid is r: the pair-squeezed closed forms, with the family's own oracle."""
+    return Family(
+        params=lambda r: r,
+        entropy=lambda r, mu: analytic.renyi_squeezed(r, mu),
+        model=lambda r, config: _thermal_row(
+            thermo.oscillator_model_from_squeezing(r, config.hbar_omega)
+        ),
+        oracle=oracle,
+    )
+
+
+FAMILY_TABLE = {
+    "squeezed": _squeezed_family(
+        lambda r, config: oracle_squeezed_spectrum(
+            r, tail_tol=config.tail_tolerance, mu_list=config.mu_list
+        )
+    ),
+    "displaced-squeezed": _squeezed_family(
+        lambda r, config: oracle_displaced_squeezed_spectrum(
+            r, SWEEP_DISPLACEMENT, config.tail_tolerance
+        )
+    ),
+    "squeezed-coherent": _squeezed_family(
+        lambda r, config: oracle_squeezed_coherent_spectrum(
+            r, SWEEP_DISPLACEMENT, config.tail_tolerance
+        )
+    ),
+    # grid is |alpha|; a product state, so every entropy vanishes and the
+    # thermal row is the zero-temperature sentinel
+    "coherent": Family(
+        params=lambda a: DisplacementParams(a, a / 2.0),
+        entropy=lambda disp, mu: 0.0,
+        model=lambda disp, config: (math.inf, 1.0, 0.0),
+        oracle=lambda disp, config: oracle_coherent_spectrum(disp, config.tail_tolerance),
+    ),
+    # grid is f.f, realized as SH_SWEEP_MODES equal displacements
+    "silbey-harris": Family(
+        params=_sh_params_for,
+        entropy=lambda params, mu: analytic.renyi_sh(params, mu),
+        model=lambda params, config: _thermal_row(
+            thermo.two_level_model_from_sh(params, config.delta)
+        ),
+        oracle=lambda params, config: oracle_sh_spectrum(params, config.tail_tolerance),
+    ),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def run_sweep(config: SweepConfig):
@@ -279,18 +283,23 @@ def run_sweep(config: SweepConfig):
     family, whose Schmidt rank is not finite) report an infinite deviation but
     are not counted as failures, since no truncated check can converge there.
     """
+    family = FAMILY_TABLE[config.state_family]
     header = SWEEP_ORACLE_HEADER if config.oracle else SWEEP_HEADER
     rows = []
     failed = False
     for param in config.parameter_grid:
-        point = _family_point(config, param)
-        purity = math.exp(-point["s_2"])
+        params = family.params(param)
+        beta, z, free_energy = family.model(params, config)
+        s_vn = family.entropy(params, 1.0)
+        s_2 = family.entropy(params, 2.0)
+        s_inf = family.entropy(params, math.inf)
+        purity = math.exp(-s_2)
+        spectrum = family.oracle(params, config) if config.oracle else None
         for mu in config.mu_list:
-            s_mu = point["entropy"](mu)
-            row = [param, mu, s_mu, point["s_vn"], point["s_2"], purity,
-                   point["s_inf"], point["beta"], point["z"], point["f"]]
+            s_mu = family.entropy(params, mu)
+            row = [param, mu, s_mu, s_vn, s_2, purity, s_inf, beta, z, free_energy]
             if config.oracle:
-                oracle_value = analytic.renyi_general(point["spectrum"], mu)
+                oracle_value = analytic.renyi_general(spectrum, mu)
                 deviation = abs(s_mu - oracle_value)
                 row.extend([oracle_value, deviation])
                 if math.isfinite(deviation) and deviation > ORACLE_DEV_LIMIT:
@@ -305,22 +314,13 @@ def run_sweep(config: SweepConfig):
 
 def run_thermo_table(config: SweepConfig):
     """Effective-model table rows; returns (header, rows, exit_code)."""
+    family = FAMILY_TABLE[config.state_family]
     rows = []
     failed = False
     for param in config.parameter_grid:
-        if config.state_family == "silbey-harris":
-            params = _sh_params_for(param)
-            model = thermo.two_level_model_from_sh(params, config.delta)
-            s_inf = analytic.renyi_sh(params, math.inf)
-        elif config.state_family == "coherent":
-            beta, z, free_energy = _zero_temperature_row()
-            model = None
-            s_inf = 0.0
-        else:
-            model = thermo.oscillator_model_from_squeezing(param, config.hbar_omega)
-            s_inf = analytic.renyi_squeezed(param, math.inf)
-        if model is not None:
-            beta, z, free_energy = model.beta_eff, model.partition_function, model.free_energy
+        params = family.params(param)
+        beta, z, free_energy = family.model(params, config)
+        s_inf = family.entropy(params, math.inf)
         ln_z = math.log(z)
         p_max = 1.0 / z
         matches = abs(ln_z - s_inf) < 1e-12
@@ -383,11 +383,8 @@ def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | Non
     # builder norms stay within the tail tolerance
     dev = 0.0
     disp = DisplacementParams(*(rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)))
-    n_max = max(
-        fockspace.coherent_cutoff(disp.alpha, tail_tol / 2.0).n_max,
-        fockspace.coherent_cutoff(disp.beta_b, tail_tol / 2.0).n_max,
-    )
-    state = fockspace.build_coherent_two_mode(disp, FockCutoff(n_max), tail_tol)
+    cutoff = _coherent_pair_cutoff(disp, tail_tol / 2.0)
+    state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     r_draw = float(rng.uniform(0.1, 1.2))
     state = fockspace.build_squeezed_vacuum(
@@ -414,13 +411,10 @@ def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | Non
     entropy_dev = 0.0
     for _ in range(5):
         disp = DisplacementParams(*(rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)))
-        n_max = max(
-            fockspace.coherent_cutoff(disp.alpha, tail_tol / 2.0).n_max,
-            fockspace.coherent_cutoff(disp.beta_b, tail_tol / 2.0).n_max,
-        )
-        state = fockspace.build_coherent_two_mode(disp, FockCutoff(n_max), tail_tol)
+        cutoff = _coherent_pair_cutoff(disp, tail_tol / 2.0)
+        state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
         rank_dev = max(rank_dev, float(spectra.schmidt_coefficients(state)[1]))
-        spectrum = spectra.hermitian_eigenvalues(spectra.partial_trace(state, 0))
+        spectrum = _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
         for mu in (0.5, 1.0, 2.0, math.inf):
             entropy_dev = max(entropy_dev, abs(analytic.renyi_general(spectrum, mu)))
     record("coherent-rank-one", rank_dev, 1e-10)
@@ -449,17 +443,13 @@ def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | Non
     disp = DisplacementParams(complex(rng.uniform(0.2, 0.5)), complex(rng.uniform(0.2, 0.5)))
     plain = oracle_squeezed_spectrum(r_inv, tail_tol=tail_tol)
     displaced_state = build_displaced_squeezed(r_inv, disp, tail_tol=tail_tol)
-    displaced = spectra.hermitian_eigenvalues(
-        spectra.partial_trace(displaced_state, 0), rank_tolerance=0.0
-    )
+    displaced = _reduced_spectrum(displaced_state, 0.0)
     reordered = fockspace.reordered_displacement(SqueezedStateParams(r_inv), disp)
     cutoff = FockCutoff(displaced_state_cutoff(r_inv, reordered, tail_tol).n_max + 6)
     squeezed_coherent = fockspace.build_squeezed_coherent(
         SqueezedStateParams(r_inv), disp, cutoff
     )
-    reordered_spectrum = spectra.hermitian_eigenvalues(
-        spectra.partial_trace(squeezed_coherent, 0), rank_tolerance=0.0
-    )
+    reordered_spectrum = _reduced_spectrum(squeezed_coherent, 0.0)
     dev = max(
         _padded_max_diff(plain.probabilities, displaced.probabilities),
         _padded_max_diff(plain.probabilities, reordered_spectrum.probabilities),
@@ -481,9 +471,7 @@ def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | Non
     record("squeeze-displace-reorder", dev, 1e-9)
 
     # both partitions carry the same spectrum
-    other_side = spectra.hermitian_eigenvalues(
-        spectra.partial_trace(displaced_state, 1), rank_tolerance=0.0
-    )
+    other_side = _reduced_spectrum(displaced_state, 0.0, keep_factor=1)
     record(
         "partition-symmetry",
         _padded_max_diff(displaced.probabilities, other_side.probabilities),
@@ -611,8 +599,8 @@ def _write(text: str, path: str | None):
 # ---------------------------------------------------------------------------
 
 def _add_common(parser, default_grid):
-    parser.add_argument("--family", default="squeezed", choices=FAMILIES,
-                        help="state family to sweep (default: squeezed)")
+    parser.add_argument("--family", default=FAMILIES[0], choices=FAMILIES,
+                        help="state family to sweep (default: %(default)s)")
     parser.add_argument("--grid", default=default_grid,
                         help="parameter grid, 'start:stop:count' or comma list; r for the "
                              "squeezed families, |alpha| for coherent, f.f for silbey-harris")
@@ -641,7 +629,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma list of Renyi orders; accepts 'inf' (default 1,2,inf)")
     sweep.add_argument("--oracle", action="store_true",
                        help="add truncated-basis cross-check columns; the displaced "
-                            f"families use alpha={SWEEP_ALPHA.real}, beta={SWEEP_BETA_B.real}; "
+                            f"families use alpha={SWEEP_DISPLACEMENT.alpha.real}, "
+                            f"beta={SWEEP_DISPLACEMENT.beta_b.real}; "
                             "exit is nonzero if any finite deviation exceeds 1e-8 "
                             "(order 0 on the squeezed family has no finite reference)")
     sweep.set_defaults(func=_cmd_sweep)
@@ -696,6 +685,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TailMassError, MemoryBudgetError, NumericalError, ContractError, ValueError) as exc:
         print(f"mek: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # the thermal models overflow at large r and f.f
+        print(f"mek: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"mek: cannot write output: {exc}", file=sys.stderr)

@@ -50,8 +50,8 @@ class SqueezedStateParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError(f"squeezing magnitude must be non-negative, got {self.r}")
+        if not (0.0 <= self.r < math.inf and math.isfinite(self.theta)):
+            raise ValueError(f"need finite r >= 0 and finite theta, got {self.r}, {self.theta}")
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
 
 
@@ -79,6 +79,8 @@ class SHParams:
         values = tuple(float(x) for x in self.f)
         if len(values) < 1:
             raise ValueError("at least one boson mode is required")
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"displacements must be finite, got {values}")
         object.__setattr__(self, "f", values)
 
     @property

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,9 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mek.analytic import (
-    entropy_report_from_spectrum,
-    entropy_report_sh,
-    entropy_report_squeezed,
+    entropy_report,
     parse_renyi_order,
     renyi_general,
     renyi_sh,
@@ -279,7 +278,7 @@ class TestRenyiGeneral:
 
 class TestEntropyReport:
     def test_squeezed_report_consistent(self):
-        report = entropy_report_squeezed(1.2)
+        report = entropy_report(lambda mu: renyi_squeezed(1.2, mu))
         values = [s for _, s in report.s_mu_grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert report.purity_gamma == pytest.approx(math.exp(-report.s_2), abs=1e-15)
@@ -287,7 +286,7 @@ class TestEntropyReport:
         assert report.schmidt_rank_log == math.inf
 
     def test_sh_report_consistent(self):
-        report = entropy_report_sh(SHParams((0.6, 0.3)))
+        report = entropy_report(lambda mu: renyi_sh(SHParams((0.6, 0.3)), mu))
         values = [s for _, s in report.s_mu_grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert report.schmidt_rank_log == pytest.approx(math.log(2.0))
@@ -295,8 +294,8 @@ class TestEntropyReport:
 
     def test_spectrum_report_matches_closed_form(self):
         spectrum = squeezed_entanglement_spectrum(0.8, 300, rank_tolerance=0.0)
-        report = entropy_report_from_spectrum(spectrum)
-        closed = entropy_report_squeezed(0.8)
+        report = entropy_report(functools.partial(renyi_general, spectrum))
+        closed = entropy_report(lambda mu: renyi_squeezed(0.8, mu))
         assert report.s_vn == pytest.approx(closed.s_vn, abs=1e-10)
         assert report.s_2 == pytest.approx(closed.s_2, abs=1e-12)
         assert report.sce == pytest.approx(closed.sce, abs=1e-12)

@@ -1,11 +1,13 @@
+import inspect
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mek import cli
+from mek import analytic, cli, thermo
 from mek.cli import (
     SweepConfig,
     SWEEP_HEADER,
@@ -59,6 +61,36 @@ class TestSweepConfig:
     def test_negative_parameter(self):
         with pytest.raises(ValueError):
             SweepConfig("squeezed", [-0.5], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameter(self, bad):
+        with pytest.raises(ValueError):
+            SweepConfig("squeezed", [0.5, bad], [1.0])
+
+    @pytest.mark.parametrize("field", ["hbar_omega", "delta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_energy_scale_must_be_finite_and_positive(self, field, bad):
+        with pytest.raises(ValueError):
+            SweepConfig("coherent", [0.5], [1.0], **{field: bad})
+
+
+class TestFamilyTable:
+    def test_oracles_call_no_closed_form(self, monkeypatch):
+        # the truncated-basis route is an independent check only if it never
+        # reaches the closed forms or the thermal models
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle reached a closed form")
+
+        for module in (analytic, thermo):
+            for name, obj in list(vars(module).items()):
+                if (inspect.isfunction(obj) and not name.startswith("_")
+                        and obj.__module__ == module.__name__):
+                    monkeypatch.setattr(module, name, forbidden)
+        config = SweepConfig(cli.FAMILIES[0], [0.1], [0.5, 1.0, 2.0])
+        for name, family in cli.FAMILY_TABLE.items():
+            probs = family.oracle(family.params(0.1), config).probabilities
+            assert np.all(probs >= 0.0), name
+            assert abs(float(np.sum(probs)) - 1.0) < 1e-10, name
 
 
 class TestRunSweep:
@@ -257,6 +289,30 @@ class TestMainEntry:
     def test_invalid_tolerance(self, capsys):
         code = cli.main(["sweep", "--grid", "0,1", "--mu", "1", "--tail-tol", "0.01"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "nan"],
+        ["sweep", "--grid", "inf"],
+        ["thermo-table", "--hbar-omega", "nan"],
+        ["thermo-table", "--family", "silbey-harris", "--delta", "inf"],
+    ])
+    def test_non_finite_input_exits_cleanly(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mek: ")
+
+    @pytest.mark.parametrize("argv, run, family, param, error", [
+        (["thermo-table", "--grid", "372"], run_thermo_table, "squeezed", 372.0, OverflowError),
+        (["sweep", "--family", "silbey-harris", "--grid", "1e6"], run_sweep, "silbey-harris",
+         1e6, ZeroDivisionError),
+    ])
+    def test_arithmetic_fault_exits_cleanly(self, argv, run, family, param, error, capsys):
+        # the library keeps raising the same type; the command line turns it into exit 2
+        with pytest.raises(error):
+            run(SweepConfig(family, [param], [1.0, 2.0, math.inf]))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"mek: {error.__name__}: ")
 
     def test_oracle_memory_budget_exceeded(self, monkeypatch, capsys):
         monkeypatch.setenv("MEK_MEM_BUDGET", "1000")

@@ -202,6 +202,12 @@ class TestSqueezedBuilder:
         with pytest.raises(ValueError):
             SqueezedStateParams(-0.1)
 
+    @pytest.mark.parametrize("r, theta", [(math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan),
+                                          (0.5, math.inf)])
+    def test_non_finite_parameters_rejected(self, r, theta):
+        with pytest.raises(ValueError):
+            SqueezedStateParams(r, theta)
+
 
 class TestDisplacement:
     def test_identity_displacement(self):
@@ -330,6 +336,11 @@ class TestSilbeyHarris:
     def test_requires_a_mode(self):
         with pytest.raises(ValueError):
             SHParams(())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_displacement_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SHParams((0.3, bad))
 
 
 def test_displaced_number_state_stays_rank_one():
