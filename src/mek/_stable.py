@@ -12,15 +12,6 @@ def log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
 
 
-def log_sinh(x: float) -> float:
-    """ln(sinh x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError("log_sinh requires x > 0")
-    if x < 1.0:
-        return math.log(math.sinh(x))
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-
-
 def log_tanh(x: float) -> float:
     """ln(tanh x) for x > 0; accurate to the last bit even when tanh x rounds to 1."""
     if x <= 0.0:

@@ -17,12 +17,12 @@ from ._stable import log_tanh
 from .exceptions import DimensionError, MemoryBudgetError, NumericalError, TailMassError
 
 DEFAULT_TAIL_TOL = 1e-12
-DEFAULT_MEM_BUDGET = 2 ** 28  # complex entries, not bytes
+DEFAULT_MEM_BUDGET = 2 ** 28  # state entries or pair-squeeze work, not bytes
 _SERIES_MAX_ORDER = 40
 
 
 def memory_budget() -> int:
-    """Complex-entry budget for oracle states/operators; MEK_MEM_BUDGET overrides."""
+    """Cap on oracle state entries and pair-squeeze work (dim^4); MEK_MEM_BUDGET overrides."""
     raw = os.environ.get("MEK_MEM_BUDGET", "")
     return int(raw) if raw else DEFAULT_MEM_BUDGET
 
@@ -156,9 +156,10 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
     The generator is scaled so its 1-norm drops below 1, the series order is
     chosen so the first neglected term (the residual, i.e. the difference to
     the next-order partial sum) is below 5e-18, and the polynomial is
-    evaluated blockwise (Paterson-Stockmeyer) to keep the matmul count small
-    for the large tensored-space generators. Anti-Hermitian generators map to
-    matrices that are unitary at the 1e-12 level.
+    evaluated blockwise (Paterson-Stockmeyer) to keep the matmul count small.
+    Callers pass single-mode displacement generators and the tridiagonal
+    pair-squeeze chains, both at most one mode dimension wide. Anti-Hermitian
+    generators map to matrices that are unitary at the 1e-12 level.
 
     Raises
     ------
@@ -431,12 +432,26 @@ def reordered_displacement(
     )
 
 
-def two_mode_squeeze_generator(params: SqueezedStateParams, n_max: int) -> np.ndarray:
-    """Anti-Hermitian pair generator z a^dag b^dag - z^* a b on the tensored space."""
+def _squeeze_sectors(amplitudes: np.ndarray, params: SqueezedStateParams) -> np.ndarray:
+    """Apply exp(z a^dag b^dag - z^* a b) to a square two-mode array, sector by sector.
+
+    The pair generator couples |n, m> only to |n +- 1, m +- 1>, so it conserves
+    k = n - m. In the truncated basis it splits into 2 dim - 1 chains
+    |n, n - k>, each of length dim - |k|, on which it is tridiagonal: z sqrt(n m)
+    below the diagonal and -z^* sqrt(n m) above it, at the upper state (n, m)
+    of each link. Each chain is exponentiated on its own and applied to its
+    sector; every entry of the result belongs to exactly one chain.
+    """
     z = params.r * complex(math.cos(params.theta), math.sin(params.theta))
-    a = annihilation_matrix(n_max)
-    adag = a.conj().T
-    return z * np.kron(adag, adag) - np.conj(z) * np.kron(a, a)
+    dim = amplitudes.shape[0]
+    out = np.empty_like(amplitudes)
+    for k in range(1 - dim, dim):
+        n = np.arange(max(k, 0), dim - max(-k, 0))
+        m = n - k
+        link = np.sqrt(n[1:] * m[1:])
+        generator = np.diag(z * link, -1) - np.diag(np.conj(z) * link, 1)
+        out[n, m] = operator_exponential(generator) @ amplitudes[n, m]
+    return out
 
 
 def build_squeezed_coherent(
@@ -446,25 +461,25 @@ def build_squeezed_coherent(
     tail_tol: float = 1e-10,
     mem_budget: int | None = None,
 ) -> ComplexAmplitudeTensor:
-    """Squeeze an already-displaced two-mode state.
+    """Squeeze an already-displaced two-mode state, one conserved n_a - n_b sector at a time.
 
-    The pair generator is not mode-local, so it is exponentiated as one dense
-    matrix on the tensored space and applied to the coherent product state.
+    The pair squeeze acts on the coherent product state chain by chain (see
+    ``_squeeze_sectors``). Its work, the sum of the cubed chain lengths (about
+    dim^4 / 2), is capped by requiring dim^4 <= the memory budget.
     """
     _check_tol(tail_tol)
     budget = memory_budget() if mem_budget is None else mem_budget
-    op_entries = cutoff.dim ** 4
-    if op_entries > budget:
+    work_cap = cutoff.dim ** 4
+    if work_cap > budget:
         raise MemoryBudgetError(
-            f"pair-squeeze operator needs {op_entries} complex entries, budget is {budget}; "
+            f"pair-squeeze chains need work up to dim^4 = {work_cap}, budget is {budget}; "
             "reduce n_max or raise MEK_MEM_BUDGET"
         )
     _check_squeezed_tail(params_s.r, cutoff, tail_tol)
     base = build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
     if params_s.r == 0.0:
         return base
-    squeeze_op = operator_exponential(two_mode_squeeze_generator(params_s, cutoff.n_max))
-    amps = (squeeze_op @ base.amplitudes.reshape(-1)).reshape(base.mode_dims)
+    amps = _squeeze_sectors(base.amplitudes, params_s)
     leak = _check_boundary_leak(amps, tail_tol, "pair squeezing")
     tail_mass = max(base.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, base.mode_dims, tail_mass)

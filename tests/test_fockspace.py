@@ -281,6 +281,31 @@ class TestSqueezedCoherent:
         approx = apply_two_mode_displacement(squeezed, naive)
         assert np.max(np.abs(left.amplitudes - approx.amplitudes)) > 1e-4
 
+    def test_sector_chains_match_dense_pair_exponential(self):
+        # reference: the pair generator exponentiated as one d^2 x d^2 matrix
+        params_s = SqueezedStateParams(0.25, 1.1)
+        disp = DisplacementParams(0.2 + 0.15j, -0.1 + 0.25j)
+        cutoff = FockCutoff(11)
+        z = params_s.r * complex(math.cos(params_s.theta), math.sin(params_s.theta))
+        a = annihilation_matrix(cutoff.n_max)
+        adag = a.conj().T
+        dense = operator_exponential(z * np.kron(adag, adag) - np.conj(z) * np.kron(a, a))
+        base = build_coherent_two_mode(disp, cutoff, tail_tol=1e-10)
+        expected = (dense @ base.amplitudes.reshape(-1)).reshape(base.mode_dims)
+        state = build_squeezed_coherent(params_s, disp, cutoff)
+        assert np.max(np.abs(state.amplitudes - expected)) < 1e-13
+
+    def test_basis_state_stays_in_its_sector(self):
+        dim = 12
+        amps = np.zeros((dim, dim), dtype=complex)
+        amps[2, 5] = 1.0
+        out = fockspace._squeeze_sectors(amps, SqueezedStateParams(0.4, 0.7))
+        n, m = np.indices((dim, dim))
+        sector = n - m == 2 - 5
+        assert np.count_nonzero(out[~sector]) == 0
+        assert np.vdot(out[sector], out[sector]).real == pytest.approx(1.0, abs=1e-13)
+        assert np.count_nonzero(np.abs(out[sector]) > 1e-6) > 1
+
     def test_memory_budget_enforced(self):
         with pytest.raises(MemoryBudgetError):
             build_squeezed_coherent(
