@@ -99,14 +99,6 @@ def _reduced_spectrum(
     return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
 
 
-def _coherent_pair_cutoff(disp: DisplacementParams, mode_tol: float) -> FockCutoff:
-    """Smallest common basis holding each mode's coherent tail below ``mode_tol``."""
-    return FockCutoff(max(
-        fockspace.coherent_cutoff(disp.alpha, mode_tol).n_max,
-        fockspace.coherent_cutoff(disp.beta_b, mode_tol).n_max,
-    ))
-
-
 # The squeezed-family oracles keep every eigenvalue (rank tolerance 0.0): the
 # low-order entropies need the whole geometric tail. The coherent and
 # qubit-boson reductions have rank 1 or 2, so they drop entries below
@@ -126,9 +118,12 @@ def oracle_squeezed_spectrum(
 
 
 def displaced_state_cutoff(r: float, disp: DisplacementParams, tail_tol: float) -> FockCutoff:
-    """Squeezed-state cutoff padded with displacement headroom plus a guard band."""
+    """Squeezed-state cutoff padded with displacement headroom plus a guard band.
+
+    The headroom keeps each displacement's own coherent tail below ``tail_tol``.
+    """
     base = fockspace.squeezed_cutoff(r, tail_tol).n_max
-    pad = _coherent_pair_cutoff(disp, tail_tol).n_max
+    pad = max(fockspace.coherent_cutoff(amp, tail_tol).n_max for amp in (disp.alpha, disp.beta_b))
     return FockCutoff(base + pad + 4)
 
 
@@ -156,14 +151,13 @@ def oracle_squeezed_coherent_spectrum(r, disp, tail_tol=1e-12) -> spectra.Entang
 def oracle_coherent_spectrum(
     disp: DisplacementParams, tail_tol: float = 1e-12
 ) -> spectra.EntanglementSpectrum:
-    cutoff = _coherent_pair_cutoff(disp, tail_tol / 2.0)
+    cutoff = fockspace.coherent_product_cutoff((disp.alpha, disp.beta_b), tail_tol)
     state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
     return _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
 
 
 def oracle_sh_spectrum(params: SHParams, tail_tol: float = 1e-12) -> spectra.EntanglementSpectrum:
-    worst = max(abs(x) for x in params.f)
-    cutoff = fockspace.coherent_cutoff(worst, tail_tol / params.n_modes)
+    cutoff = fockspace.coherent_product_cutoff(params.f, tail_tol)
     state = fockspace.build_silbey_harris(params, cutoff, tail_tol)
     return _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
 
@@ -383,7 +377,7 @@ def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | Non
     # builder norms stay within the tail tolerance
     dev = 0.0
     disp = DisplacementParams(*(rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)))
-    cutoff = _coherent_pair_cutoff(disp, tail_tol / 2.0)
+    cutoff = fockspace.coherent_product_cutoff((disp.alpha, disp.beta_b), tail_tol)
     state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     r_draw = float(rng.uniform(0.1, 1.2))
@@ -392,7 +386,7 @@ def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | Non
     )
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     sh_params = SHParams(tuple(rng.uniform(0.1, 0.8, 2)))
-    cutoff = fockspace.coherent_cutoff(max(sh_params.f), tail_tol / 2.0)
+    cutoff = fockspace.coherent_product_cutoff(sh_params.f, tail_tol)
     state = fockspace.build_silbey_harris(sh_params, cutoff, tail_tol)
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     record("builder-norm", dev, tail_tol)
@@ -411,7 +405,7 @@ def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | Non
     entropy_dev = 0.0
     for _ in range(5):
         disp = DisplacementParams(*(rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)))
-        cutoff = _coherent_pair_cutoff(disp, tail_tol / 2.0)
+        cutoff = fockspace.coherent_product_cutoff((disp.alpha, disp.beta_b), tail_tol)
         state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
         rank_dev = max(rank_dev, float(spectra.schmidt_coefficients(state)[1]))
         spectrum = _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)

@@ -15,7 +15,7 @@ class TailMassError(ValueError):
 
 
 class MemoryBudgetError(RuntimeError):
-    """State or operator would exceed the configured complex-entry budget."""
+    """Oracle over MEK_MEM_BUDGET: dim^2 or 2 dim^n state entries, or dim^4 pair-squeeze work."""
 
 
 class NumericalError(RuntimeError):

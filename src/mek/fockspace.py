@@ -22,9 +22,21 @@ _SERIES_MAX_ORDER = 40
 
 
 def memory_budget() -> int:
-    """Cap on oracle state entries and pair-squeeze work (dim^4); MEK_MEM_BUDGET overrides."""
+    """Cap on dim^2 two-mode entries, 2 dim^n qubit-boson entries and dim^4 pair-squeeze work.
+
+    MEK_MEM_BUDGET overrides the default 2^28; it counts entries and work, not bytes.
+    """
     raw = os.environ.get("MEK_MEM_BUDGET", "")
     return int(raw) if raw else DEFAULT_MEM_BUDGET
+
+
+def _check_budget(need: int, what: str):
+    """Raise MemoryBudgetError if ``need``, described by ``what``, exceeds memory_budget()."""
+    budget = memory_budget()
+    if need > budget:
+        raise MemoryBudgetError(
+            f"{what} is {need}, over the budget {budget}; reduce n_max or raise MEK_MEM_BUDGET"
+        )
 
 
 @dataclass(frozen=True)
@@ -279,6 +291,16 @@ def squeezed_cutoff(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockCutoff:
     return FockCutoff(n_max)
 
 
+def coherent_product_cutoff(amplitudes, tail_tol: float = DEFAULT_TAIL_TOL) -> FockCutoff:
+    """Smallest common cutoff holding every mode's Poisson tail below tail_tol / len(amplitudes).
+
+    That equal split is the coherent builders' tail rule; it keeps the product's norm
+    defect below ``tail_tol``.
+    """
+    per_mode = tail_tol / len(amplitudes)
+    return FockCutoff(max(coherent_cutoff(amp, per_mode).n_max for amp in amplitudes))
+
+
 def _check_tol(tail_tol: float):
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail tolerance must lie in (0, 1), got {tail_tol}")
@@ -310,6 +332,27 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     return out
 
 
+def _coherent_product(amplitudes, cutoff: FockCutoff, tail_tol: float) -> np.ndarray:
+    """Outer product of the modes' coherent amplitudes, one tensor axis per mode.
+
+    TailMassError if a mode's tail exceeds the ``coherent_product_cutoff`` rule.
+    """
+    per_mode = tail_tol / len(amplitudes)
+    tail = max(coherent_tail_mass(amp, cutoff.n_max) for amp in amplitudes)
+    if tail > per_mode:
+        needed = coherent_product_cutoff(amplitudes, tail_tol).n_max
+        raise TailMassError(
+            f"coherent tail {tail:.3e} exceeds its share {per_mode:.3e} of the tail budget "
+            f"at n_max={cutoff.n_max}; need n_max >= {needed}",
+            required_n_max=needed,
+            measured=tail,
+        )
+    out = coherent_amplitudes(amplitudes[0], cutoff.n_max)
+    for amp in amplitudes[1:]:
+        out = np.multiply.outer(out, coherent_amplitudes(amp, cutoff.n_max))
+    return out
+
+
 def build_coherent_two_mode(
     params: DisplacementParams,
     cutoff: FockCutoff,
@@ -321,21 +364,8 @@ def build_coherent_two_mode(
     ``tail_tol``.
     """
     _check_tol(tail_tol)
-    per_mode = tail_tol / 2.0
-    for label, amp in (("A", params.alpha), ("B", params.beta_b)):
-        tail = coherent_tail_mass(amp, cutoff.n_max)
-        if tail > per_mode:
-            needed = coherent_cutoff(amp, per_mode).n_max
-            raise TailMassError(
-                f"mode {label} coherent tail {tail:.3e} exceeds {per_mode:.3e} at "
-                f"n_max={cutoff.n_max}; need n_max >= {needed}",
-                required_n_max=needed,
-                measured=tail,
-            )
-    amps = np.outer(
-        coherent_amplitudes(params.alpha, cutoff.n_max),
-        coherent_amplitudes(params.beta_b, cutoff.n_max),
-    )
+    _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
+    amps = _coherent_product((params.alpha, params.beta_b), cutoff, tail_tol)
     tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), tail_mass)
 
@@ -347,6 +377,7 @@ def build_squeezed_vacuum(
 ) -> ComplexAmplitudeTensor:
     """Pair-squeezed vacuum: diagonal tensor e^{i n theta} tanh^n r / cosh r."""
     _check_tol(tail_tol)
+    _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     _check_squeezed_tail(params.r, cutoff, tail_tol)
     amps = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     if params.r == 0.0:
@@ -459,7 +490,6 @@ def build_squeezed_coherent(
     params_d: DisplacementParams,
     cutoff: FockCutoff,
     tail_tol: float = 1e-10,
-    mem_budget: int | None = None,
 ) -> ComplexAmplitudeTensor:
     """Squeeze an already-displaced two-mode state, one conserved n_a - n_b sector at a time.
 
@@ -468,13 +498,7 @@ def build_squeezed_coherent(
     dim^4 / 2), is capped by requiring dim^4 <= the memory budget.
     """
     _check_tol(tail_tol)
-    budget = memory_budget() if mem_budget is None else mem_budget
-    work_cap = cutoff.dim ** 4
-    if work_cap > budget:
-        raise MemoryBudgetError(
-            f"pair-squeeze chains need work up to dim^4 = {work_cap}, budget is {budget}; "
-            "reduce n_max or raise MEK_MEM_BUDGET"
-        )
+    _check_budget(cutoff.dim ** 4, "pair-squeeze chain work dim^4")
     _check_squeezed_tail(params_s.r, cutoff, tail_tol)
     base = build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
     if params_s.r == 0.0:
@@ -489,7 +513,6 @@ def build_silbey_harris(
     params: SHParams,
     cutoff: FockCutoff,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    mem_budget: int | None = None,
 ) -> ComplexAmplitudeTensor:
     """Qubit-boson superposition (|up>|f> - |down>|-f>) / sqrt(2) as a dense tensor.
 
@@ -499,35 +522,11 @@ def build_silbey_harris(
     the branch overlap.
     """
     _check_tol(tail_tol)
-    budget = memory_budget() if mem_budget is None else mem_budget
-    n_modes = params.n_modes
-    entries = 2 * cutoff.dim ** n_modes
-    if entries > budget:
-        raise MemoryBudgetError(
-            f"state needs {entries} complex entries, budget is {budget}; "
-            "reduce the mode count or n_max, or raise MEK_MEM_BUDGET"
-        )
-    per_mode = tail_tol / n_modes
-    for k, f_k in enumerate(params.f):
-        tail = coherent_tail_mass(f_k, cutoff.n_max)
-        if tail > per_mode:
-            needed = coherent_cutoff(f_k, per_mode).n_max
-            raise TailMassError(
-                f"mode {k} coherent tail {tail:.3e} exceeds its share {per_mode:.3e} "
-                f"of the tail budget; need n_max >= {needed}",
-                required_n_max=needed,
-                measured=tail,
-            )
-
-    def branch(sign: float) -> np.ndarray:
-        out = coherent_amplitudes(sign * params.f[0], cutoff.n_max)
-        for f_k in params.f[1:]:
-            out = np.multiply.outer(out, coherent_amplitudes(sign * f_k, cutoff.n_max))
-        return out
-
-    dims = (2,) + (cutoff.dim,) * n_modes
+    dims = (2,) + (cutoff.dim,) * params.n_modes
+    _check_budget(math.prod(dims), "qubit-boson state entries 2 dim^n_modes")
     amps = np.empty(dims, dtype=complex)
-    amps[0] = branch(+1.0) / math.sqrt(2.0)
-    amps[1] = -branch(-1.0) / math.sqrt(2.0)
+    amps[0] = _coherent_product(params.f, cutoff, tail_tol)
+    amps[1] = -_coherent_product(tuple(-f_k for f_k in params.f), cutoff, tail_tol)
+    amps /= math.sqrt(2.0)
     tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, dims, tail_mass)

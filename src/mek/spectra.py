@@ -5,7 +5,6 @@ Eigenvalues and singular values come from LAPACK through numpy
 squareness, Hermiticity, and the round-off window for negative eigenvalues.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +16,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 NEGATIVE_CLAMP = -1e-10
 DEFAULT_RANK_TOL = 1e-10
-# off-diagonal Frobenius norm, relative to the trace, below which a matrix is
-# taken as already diagonal
-_DIAGONAL_REL_TOL = math.sqrt(2.0) * 1e-14
 
 
 @dataclass
@@ -78,12 +74,11 @@ def hermitian_eigenvalues(
 ) -> EntanglementSpectrum:
     """Full eigenvalue set of a Hermitian reduced matrix, sorted descending.
 
-    Input whose off-diagonal Frobenius norm is below sqrt(2) * 1e-14 times the
-    trace is taken as diagonal, and its real diagonal is returned sorted; the
-    squeezed-vacuum reductions are exactly diagonal, and this skips an O(d^3)
-    solve on them. Any other input goes to LAPACK's Hermitian eigenvalue
-    solver. Non-finite entries are an error. Negative round-off above -1e-10
-    is clamped to zero; anything below is an error.
+    Input with no nonzero off-diagonal entry returns its real diagonal,
+    sorted; the squeezed-vacuum reductions are exactly diagonal, and this
+    skips an O(d^3) solve on them. Any other input goes to LAPACK's Hermitian
+    eigenvalue solver. Non-finite entries are an error. Negative round-off
+    above -1e-10 is clamped to zero; anything below is an error.
     """
     entries = np.asarray(rho.entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -95,12 +90,9 @@ def hermitian_eigenvalues(
     if herm_defect >= HERMITICITY_TOL:
         raise ContractError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
 
-    diagonal = entries.diagonal().real
-    off_diagonal = entries.copy()
-    np.fill_diagonal(off_diagonal, 1j * entries.diagonal().imag)
-    scale = max(abs(float(diagonal.sum())), np.finfo(float).tiny)
-    if float(np.linalg.norm(off_diagonal)) < _DIAGONAL_REL_TOL * scale:
-        eigenvalues = np.sort(diagonal)[::-1].copy()
+    diagonal = entries.diagonal()
+    if np.count_nonzero(entries) == np.count_nonzero(diagonal):
+        eigenvalues = np.sort(diagonal.real)[::-1].copy()
     else:
         eigenvalues = np.linalg.eigvalsh(entries)[::-1].copy()
 

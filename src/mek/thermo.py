@@ -39,9 +39,7 @@ class EffectiveThermalModel:
     infinite_ladder: bool = False
 
 
-def oscillator_model_from_squeezing(
-    r: float, hbar_omega: float = 1.0, n_levels: int = 2
-) -> EffectiveThermalModel:
+def oscillator_model_from_squeezing(r: float, hbar_omega: float = 1.0) -> EffectiveThermalModel:
     """Harmonic-oscillator model of one mode of a pair-squeezed state.
 
     beta = -2 ln(tanh r) / hbar_omega, Z = 1 / (1 - e^{-beta hbar_omega})
@@ -51,7 +49,7 @@ def oscillator_model_from_squeezing(
         raise ValueError(f"squeezing magnitude must be non-negative, got {r}")
     if hbar_omega <= 0.0:
         raise ValueError(f"level spacing must be positive, got {hbar_omega}")
-    levels = tuple(hbar_omega * n for n in range(max(2, n_levels)))
+    levels = (0.0, hbar_omega)
     if r == 0.0:
         return EffectiveThermalModel(levels, math.inf, hbar_omega, 1.0, 0.0, True)
     beta = -2.0 * log_tanh(r) / hbar_omega

@@ -323,6 +323,13 @@ class TestMainEntry:
         assert code == 2
         assert "MEK_MEM_BUDGET" in capsys.readouterr().err
 
+    def test_squeezed_vacuum_memory_budget_exceeded(self, monkeypatch, capsys):
+        # the squeezed-vacuum state (dim^2 entries) is checked against the budget too
+        monkeypatch.setenv("MEK_MEM_BUDGET", "1000")
+        code = cli.main(["sweep", "--family", "squeezed", "--oracle", "--grid", "1", "--mu", "1"])
+        assert code == 2
+        assert "MEK_MEM_BUDGET" in capsys.readouterr().err
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(

@@ -19,6 +19,7 @@ from mek.fockspace import (
     build_squeezed_vacuum,
     coherent_amplitudes,
     coherent_cutoff,
+    coherent_product_cutoff,
     coherent_tail_mass,
     creation_matrix,
     operator_exponential,
@@ -159,6 +160,23 @@ class TestCoherentBuilder:
             build_coherent_two_mode(DisplacementParams(2.0, 0.0), FockCutoff(4))
         assert err.value.required_n_max is not None
         assert err.value.required_n_max > 4
+
+
+@pytest.mark.parametrize("amplitudes, build", [
+    ((1.3, 0.4j), lambda amps, cut: build_coherent_two_mode(DisplacementParams(*amps), cut)),
+    ((0.9,), lambda amps, cut: build_silbey_harris(SHParams(amps), cut)),
+    ((0.7, -1.2), lambda amps, cut: build_silbey_harris(SHParams(amps), cut)),
+    ((0.5, 1.1, 0.3), lambda amps, cut: build_silbey_harris(SHParams(amps), cut)),
+], ids=["coherent-two-mode", "qubit-boson-1", "qubit-boson-2", "qubit-boson-3"])
+def test_coherent_product_cutoff_is_smallest_accepted(amplitudes, build):
+    # the builders split the tail budget evenly over the modes; the shared
+    # cutoff is the smallest basis they accept and the one they ask for
+    cutoff = coherent_product_cutoff(amplitudes, 1e-12)
+    assert validate_state(build(amplitudes, cutoff), 1e-12) < 1e-12
+    for too_small in (cutoff.n_max - 1, 0):
+        with pytest.raises(TailMassError) as err:
+            build(amplitudes, FockCutoff(too_small))
+        assert err.value.required_n_max == cutoff.n_max
 
 
 class TestSqueezedBuilder:
@@ -306,13 +324,13 @@ class TestSqueezedCoherent:
         assert np.vdot(out[sector], out[sector]).real == pytest.approx(1.0, abs=1e-13)
         assert np.count_nonzero(np.abs(out[sector]) > 1e-6) > 1
 
-    def test_memory_budget_enforced(self):
+    def test_memory_budget_enforced(self, monkeypatch):
+        monkeypatch.setenv("MEK_MEM_BUDGET", "1000")
         with pytest.raises(MemoryBudgetError):
             build_squeezed_coherent(
                 SqueezedStateParams(0.3),
                 DisplacementParams(0.1, 0.1),
                 FockCutoff(30),
-                mem_budget=1000,
             )
 
 
@@ -346,9 +364,10 @@ class TestSilbeyHarris:
         state = build_silbey_harris(SHParams((0.4, 0.2)), FockCutoff(20))
         assert abs(1.0 - state.norm() ** 2) < 1e-12
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setenv("MEK_MEM_BUDGET", "100")
         with pytest.raises(MemoryBudgetError) as err:
-            build_silbey_harris(SHParams((0.1, 0.1, 0.1)), FockCutoff(20), mem_budget=100)
+            build_silbey_harris(SHParams((0.1, 0.1, 0.1)), FockCutoff(20))
         assert "n_max" in str(err.value)
 
     def test_env_var_overrides_budget(self, monkeypatch):
