@@ -3,6 +3,9 @@
 Eigenvalues and singular values come from LAPACK through numpy
 (``eigvalsh`` and ``svd``); this module adds the contract checks around them:
 squareness, Hermiticity, and the round-off window for negative eigenvalues.
+A reduction that is exactly diagonal (a state already in Schmidt form, such as
+the two-mode squeezed vacuum) is built, checked and read off in O(d^2), with
+neither the O(d^3) product nor the solve.
 """
 
 from dataclasses import dataclass
@@ -40,23 +43,53 @@ class EntanglementSpectrum:
         self.probabilities = np.asarray(self.probabilities, dtype=float)
 
 
-def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDensityMatrix:
-    """Trace out every tensor factor except ``keep_factor``.
-
-    Returns rho with entries sum_j psi(kept=i, j) psi^*(kept=i', j), where j
-    runs over the joint index of all traced factors.
-    """
+def _unfold(state: ComplexAmplitudeTensor, keep_factor: int) -> np.ndarray:
+    """The (kept factor | rest) unfolding of the amplitudes, a view where numpy allows."""
     n_factors = len(state.mode_dims)
     if not 0 <= keep_factor < n_factors:
         raise DimensionError(
             f"keep_factor {keep_factor} out of range for {n_factors} tensor factors"
         )
     kept_dim = state.mode_dims[keep_factor]
-    unfolded = np.moveaxis(state.amplitudes, keep_factor, 0).reshape(kept_dim, -1)
-    unfolded = np.ascontiguousarray(unfolded)
-    rho = unfolded @ unfolded.conj().T
+    return np.moveaxis(state.amplitudes, keep_factor, 0).reshape(kept_dim, -1)
 
-    herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
+
+def _is_diagonal_only(matrix: np.ndarray) -> bool:
+    """True for a square matrix with no nonzero off-diagonal entry.
+
+    NaN and inf count as nonzero, so a non-finite off-diagonal entry fails.
+    """
+    rows, cols = matrix.shape
+    return rows == cols and np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
+
+
+def _hermiticity_defect(matrix: np.ndarray, diagonal_only: bool) -> float:
+    """max |m - m^H|; for a diagonal-only matrix that is exactly 2 max |Im m_ii|."""
+    if diagonal_only:
+        return 2.0 * float(np.max(np.abs(matrix.diagonal().imag)))
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
+
+
+def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDensityMatrix:
+    """Trace out every tensor factor except ``keep_factor``.
+
+    Returns rho with entries sum_j psi(kept=i, j) psi^*(kept=i', j), where j
+    runs over the joint index of all traced factors. A square unfolding with
+    no nonzero off-diagonal amplitude (a state already in Schmidt form, such
+    as the two-mode squeezed vacuum) gives the diagonal rho_ii = |psi_ii|^2
+    in O(d^2), without the O(d^3) product; any other state takes the product.
+    """
+    unfolded = _unfold(state, keep_factor)
+    diagonal_only = _is_diagonal_only(unfolded)
+    if diagonal_only:
+        schmidt = unfolded.diagonal()
+        rho = np.zeros(unfolded.shape, dtype=complex)
+        np.fill_diagonal(rho, schmidt.real**2 + schmidt.imag**2)
+    else:
+        unfolded = np.ascontiguousarray(unfolded)
+        rho = unfolded @ unfolded.conj().T
+
+    herm_defect = _hermiticity_defect(rho, diagonal_only)
     if herm_defect >= HERMITICITY_TOL:
         raise ContractError(f"reduced matrix is not Hermitian: defect {herm_defect:.3e}")
     trace_defect = abs(1.0 - float(np.trace(rho).real))
@@ -75,24 +108,26 @@ def hermitian_eigenvalues(
     """Full eigenvalue set of a Hermitian reduced matrix, sorted descending.
 
     Input with no nonzero off-diagonal entry returns its real diagonal,
-    sorted; the squeezed-vacuum reductions are exactly diagonal, and this
-    skips an O(d^3) solve on them. Any other input goes to LAPACK's Hermitian
+    sorted, and its finiteness and Hermiticity checks read only the diagonal;
+    the squeezed-vacuum reductions are exactly diagonal, and this skips an
+    O(d^3) solve on them. Any other input goes to LAPACK's Hermitian
     eigenvalue solver. Non-finite entries are an error. Negative round-off
     above -1e-10 is clamped to zero; anything below is an error.
     """
     entries = np.asarray(rho.entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionError(f"density matrix must be square, got {entries.shape}")
-    # LAPACK returns NaN or arbitrary values for non-finite input, without error
-    if not np.all(np.isfinite(entries)):
+    diagonal_only = _is_diagonal_only(entries)
+    # LAPACK returns NaN or arbitrary values for non-finite input, without error;
+    # off the diagonal of a diagonal-only matrix every entry is an exact zero
+    if not np.all(np.isfinite(entries.diagonal() if diagonal_only else entries)):
         raise ContractError("density matrix has non-finite entries")
-    herm_defect = float(np.max(np.abs(entries - entries.conj().T)))
+    herm_defect = _hermiticity_defect(entries, diagonal_only)
     if herm_defect >= HERMITICITY_TOL:
         raise ContractError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
 
-    diagonal = entries.diagonal()
-    if np.count_nonzero(entries) == np.count_nonzero(diagonal):
-        eigenvalues = np.sort(diagonal.real)[::-1].copy()
+    if diagonal_only:
+        eigenvalues = np.sort(entries.diagonal().real)[::-1].copy()
     else:
         eigenvalues = np.linalg.eigvalsh(entries)[::-1].copy()
 
@@ -117,11 +152,4 @@ def schmidt_coefficients(state: ComplexAmplitudeTensor, keep_factor: int = 0) ->
     resolved far below what squaring through the density matrix would allow
     and rank-1 checks can be asserted at the 1e-10 level.
     """
-    n_factors = len(state.mode_dims)
-    if not 0 <= keep_factor < n_factors:
-        raise DimensionError(
-            f"keep_factor {keep_factor} out of range for {n_factors} tensor factors"
-        )
-    kept_dim = state.mode_dims[keep_factor]
-    mat = np.moveaxis(state.amplitudes, keep_factor, 0).reshape(kept_dim, -1)
-    return np.linalg.svd(mat, compute_uv=False)
+    return np.linalg.svd(_unfold(state, keep_factor), compute_uv=False)

@@ -63,6 +63,23 @@ class TestPartialTrace:
         with pytest.raises(DimensionError):
             partial_trace(state, 2)
 
+    @pytest.mark.parametrize("keep_factor", [0, 1])
+    @pytest.mark.parametrize("off_diagonal", [0.0, 1e-3])
+    def test_matches_amplitude_product(self, keep_factor, off_diagonal):
+        # a squeezed vacuum is already in Schmidt form, so its reduction is
+        # exactly diagonal; one off-diagonal amplitude sends it through the product
+        amps = build_squeezed_vacuum(SqueezedStateParams(0.8, 1.1), FockCutoff(40)).amplitudes
+        amps = amps.copy()
+        amps[2, 5] += off_diagonal
+        amps /= np.linalg.norm(amps)
+        state = ComplexAmplitudeTensor(amps, amps.shape, 0.0)
+        rho = partial_trace(state, keep_factor).entries
+        unfolded = np.moveaxis(amps, keep_factor, 0)
+        reference = unfolded @ unfolded.conj().T
+        np.testing.assert_allclose(rho, reference, rtol=0.0, atol=1e-16)
+        off_nonzero = np.count_nonzero(rho) - np.count_nonzero(np.diag(rho))
+        assert (off_nonzero == 0) == (off_diagonal == 0.0)
+
     def test_unnormalized_state_rejected(self):
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 0] = 0.5
@@ -125,9 +142,13 @@ class TestHermitianEigenvalues:
         assert abs(analytic.renyi_general(spectrum, 0.5) - exact) < 1e-9
 
     def test_rejects_non_hermitian(self):
-        bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-        with pytest.raises(ContractError):
-            hermitian_eigenvalues(ReducedDensityMatrix(bad))
+        # the second input is diagonal-only and is checked on its diagonal alone
+        for bad in (
+            np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex),
+            np.diag([0.5 + 1e-11j, 0.5]),
+        ):
+            with pytest.raises(ContractError):
+                hermitian_eigenvalues(ReducedDensityMatrix(bad))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
