@@ -19,6 +19,7 @@ from .exceptions import DimensionError, MemoryBudgetError, NumericalError, TailM
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MEM_BUDGET = 2 ** 28  # state entries or pair-squeeze work, not bytes
 _SERIES_MAX_ORDER = 40
+_CHAIN_GROUP = 8  # pair-squeeze chains per operator_exponential call
 
 
 def memory_budget() -> int:
@@ -169,27 +170,34 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
     chosen so the first neglected term (the residual, i.e. the difference to
     the next-order partial sum) is below 5e-18, and the polynomial is
     evaluated blockwise (Paterson-Stockmeyer) to keep the matmul count small.
-    Callers pass single-mode displacement generators and the tridiagonal
-    pair-squeeze chains, both at most one mode dimension wide. Anti-Hermitian
-    generators map to matrices that are unitary at the 1e-12 level.
+    Callers pass single-mode displacement generators and stacks of the
+    tridiagonal pair-squeeze chains, each at most one mode dimension wide.
+    Anti-Hermitian generators map to matrices that are unitary at the 1e-12
+    level.
+
+    A stack of shape ``(..., n, n)`` is exponentiated matrix by matrix, as in
+    ``np.linalg``: the largest 1-norm in the stack sets one squaring count and
+    one series degree for all of it, so every member meets the residual
+    target. A single ``(n, n)`` matrix is the stack of one.
 
     Raises
     ------
     DimensionError
-        If the generator is not a square matrix.
+        If the generator is not a square matrix or a stack of them.
     NumericalError
         If no series order within the cap meets the residual target; the
         exception carries the residual estimate.
     """
     gen = np.asarray(generator)
-    if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-        raise DimensionError(f"generator must be square, got shape {gen.shape}")
+    if gen.ndim < 2 or gen.shape[-1] != gen.shape[-2]:
+        raise DimensionError(f"generator must be square or a stack of squares, got {gen.shape}")
     if not np.all(np.isfinite(gen.real)) or (np.iscomplexobj(gen) and not np.all(np.isfinite(gen.imag))):
         raise ValueError("generator has non-finite entries")
     # real-valued generators stay in real arithmetic; promoted on return
     work = gen.real.copy() if np.iscomplexobj(gen) and not gen.imag.any() else gen.copy()
 
-    norm = float(np.linalg.norm(work, 1))
+    # the 1-norm (largest column sum) of every member, maximised over the stack
+    norm = float(np.add.reduce(np.abs(work), axis=-2).max()) if work.size else 0.0
     squarings = int(max(0, math.ceil(math.log2(norm)))) if norm > 1.0 else 0
     scaled = work / (2.0 ** squarings)
     scaled_norm = norm / (2.0 ** squarings)
@@ -207,7 +215,7 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
             residual=residual,
         )
 
-    dim = scaled.shape[0]
+    diag = np.arange(scaled.shape[-1])
     block = max(1, math.isqrt(degree + 1))
     n_blocks = degree // block + 1
     coeffs = [1.0] * (n_blocks * block)
@@ -221,7 +229,7 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
         out = coeffs[j * block + 1] * powers[1] if block > 1 else np.zeros_like(scaled)
         for i in range(2, block):
             out += coeffs[j * block + i] * powers[i]
-        out.flat[:: dim + 1] += coeffs[j * block]
+        out[..., diag, diag] += coeffs[j * block]
         return out
 
     total = block_sum(n_blocks - 1)
@@ -467,21 +475,37 @@ def _squeeze_sectors(amplitudes: np.ndarray, params: SqueezedStateParams) -> np.
     """Apply exp(z a^dag b^dag - z^* a b) to a square two-mode array, sector by sector.
 
     The pair generator couples |n, m> only to |n +- 1, m +- 1>, so it conserves
-    k = n - m. In the truncated basis it splits into 2 dim - 1 chains
-    |n, n - k>, each of length dim - |k|, on which it is tridiagonal: z sqrt(n m)
-    below the diagonal and -z^* sqrt(n m) above it, at the upper state (n, m)
-    of each link. Each chain is exponentiated on its own and applied to its
-    sector; every entry of the result belongs to exactly one chain.
+    k = n - m. In the truncated basis it splits into 2 dim - 1 chains, each of
+    length dim - |k|, on which it is tridiagonal: z sqrt(n m) below the diagonal
+    and -z^* sqrt(n m) above it, at the upper state (n, m) of each link. The
+    chains |k + j, j> and |j, k + j> of sectors +k and -k carry the same links
+    in the same order, so only the dim chains k >= 0 are exponentiated, each
+    applied to both sectors as two columns. ``_CHAIN_GROUP`` consecutive chains
+    go to ``operator_exponential`` as one stack, zero-padded to the longest of
+    them; exp(blockdiag(G, 0)) = blockdiag(exp G, I), so the padding is exact
+    and is never scattered back. Every entry of the result belongs to exactly
+    one chain.
     """
     z = params.r * complex(math.cos(params.theta), math.sin(params.theta))
     dim = amplitudes.shape[0]
     out = np.empty_like(amplitudes)
-    for k in range(1 - dim, dim):
-        n = np.arange(max(k, 0), dim - max(-k, 0))
-        m = n - k
-        link = np.sqrt(n[1:] * m[1:])
-        generator = np.diag(z * link, -1) - np.diag(np.conj(z) * link, 1)
-        out[n, m] = operator_exponential(generator) @ amplitudes[n, m]
+    for k0 in range(0, dim, _CHAIN_GROUP):
+        size = dim - k0  # length of chain k0, the longest in its group
+        k = np.arange(k0, min(k0 + _CHAIN_GROUP, dim))[:, None]
+        j = np.arange(size)
+        inside = j < dim - k  # chain k holds the states j = 0 .. dim - k - 1
+        link = np.where(inside, np.sqrt((k + j) * j), 0.0)[:, 1:]
+        generator = np.zeros((len(k), size, size), dtype=complex)
+        generator[:, j[1:], j[:-1]] = z * link
+        generator[:, j[:-1], j[1:]] = -np.conj(z) * link
+        chain, m = np.nonzero(inside)
+        n = k0 + chain + m
+        columns = np.zeros((len(k), size, 2), dtype=complex)
+        columns[chain, m, 0] = amplitudes[n, m]
+        columns[chain, m, 1] = amplitudes[m, n]
+        moved = operator_exponential(generator) @ columns
+        out[n, m] = moved[chain, m, 0]
+        out[m, n] = moved[chain, m, 1]
     return out
 
 
@@ -494,8 +518,10 @@ def build_squeezed_coherent(
     """Squeeze an already-displaced two-mode state, one conserved n_a - n_b sector at a time.
 
     The pair squeeze acts on the coherent product state chain by chain (see
-    ``_squeeze_sectors``). Its work, the sum of the cubed chain lengths (about
-    dim^4 / 2), is capped by requiring dim^4 <= the memory budget.
+    ``_squeeze_sectors``). Its work, the sum of the cubed lengths of the dim
+    chains shared by sectors +k and -k (about dim^4 / 4), plus the zero padding
+    of each stacked group (about 4 dim^3), is capped by requiring
+    dim^4 <= the memory budget.
     """
     _check_tol(tail_tol)
     _check_budget(cutoff.dim ** 4, "pair-squeeze chain work dim^4")

@@ -100,6 +100,41 @@ class TestOperatorExponential:
         with pytest.raises(ValueError):
             operator_exponential(bad)
 
+    def test_padded_stack_matches_single_calls(self):
+        # members of different sizes and norms share one squaring count and degree
+        rng = np.random.default_rng(11)
+        sizes, scales = (3, 7, 12, 1), (0.02, 0.3, 0.6, 0.0)  # 1-norms 0.15 to 16
+        pad = max(sizes)
+        stack = np.zeros((len(sizes), pad, pad), dtype=complex)
+        for i, (size, scale) in enumerate(zip(sizes, scales)):
+            raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            stack[i, :size, :size] = scale * (raw - raw.conj().T)
+        out = operator_exponential(stack)
+        assert out.shape == stack.shape and out.dtype == complex
+        for i, size in enumerate(sizes):
+            single = operator_exponential(stack[i, :size, :size])
+            assert np.max(np.abs(out[i, :size, :size] - single)) < 1e-14
+            # exp(blockdiag(G, 0)) = blockdiag(exp G, I), exactly
+            np.testing.assert_array_equal(out[i, size:, size:], np.eye(pad - size))
+            assert np.count_nonzero(out[i, :size, size:]) == 0
+            assert np.count_nonzero(out[i, size:, :size]) == 0
+
+    def test_stack_shape_checked(self):
+        np.testing.assert_array_equal(
+            operator_exponential(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3))
+        )
+        for shape in ((2, 3, 4), (3,)):
+            with pytest.raises(DimensionError):
+                operator_exponential(np.zeros(shape))
+
+    def test_rejects_non_finite_stack_member(self):
+        for bad_value in (math.inf, complex(0.0, -math.inf)):
+            stack = np.zeros((3, 4, 4), dtype=complex)
+            stack[0, 1, 0] = 0.5
+            stack[2, 3, 1] = bad_value
+            with pytest.raises(ValueError, match="non-finite"):
+                operator_exponential(stack)
+
 
 class TestTailBounds:
     def test_squeezed_tail_formula(self):
@@ -323,6 +358,29 @@ class TestSqueezedCoherent:
         assert np.count_nonzero(out[~sector]) == 0
         assert np.vdot(out[sector], out[sector]).real == pytest.approx(1.0, abs=1e-13)
         assert np.count_nonzero(np.abs(out[sector]) > 1e-6) > 1
+
+    def test_mirror_sectors_share_one_chain_exactly(self):
+        # sectors +k and -k run through the same exponential, so transposing
+        # the input transposes the output bit for bit
+        rng = np.random.default_rng(5)
+        params = SqueezedStateParams(0.45, 2.3)
+        for dim in (9, 20, 47):
+            amps = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            out = fockspace._squeeze_sectors(amps, params)
+            np.testing.assert_array_equal(fockspace._squeeze_sectors(amps.T, params), out.T)
+
+    @pytest.mark.parametrize("corner", [(0, 20), (20, 0)])
+    def test_length_one_chain_in_padded_group(self, corner):
+        # |0, d-1> and |d-1, 0> are whole chains of length 1, padded in the last group
+        dim = 21
+        amps = np.zeros((dim, dim), dtype=complex)
+        amps[corner] = 1.0
+        out = fockspace._squeeze_sectors(amps, SqueezedStateParams(0.6, 0.9))
+        n, m = np.indices((dim, dim))
+        sector = n - m == corner[0] - corner[1]
+        assert np.count_nonzero(sector) == 1
+        assert np.count_nonzero(out[~sector]) == 0
+        assert np.vdot(out[sector], out[sector]).real == pytest.approx(1.0, abs=1e-15)
 
     def test_memory_budget_enforced(self, monkeypatch):
         monkeypatch.setenv("MEK_MEM_BUDGET", "1000")
