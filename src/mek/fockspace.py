@@ -5,6 +5,12 @@ exponentials, with analytic tail bounds guarding every truncation. The point
 of this module is to be dumb and obviously correct: it is the independent
 numerical route against which the closed forms in :mod:`mek.analytic` are
 checked, so it must not share any formula with them.
+
+The dtype follows the data: a build whose parameters are all real (squeezing
+angle 0, real displacements, every qubit-boson state) gives float64 arrays
+from the ladder matrices through the exponentials to the amplitudes, and any
+complex parameter gives complex128. The choice is made where a parameter
+enters an array, and nothing is promoted afterwards.
 """
 
 import math
@@ -23,7 +29,7 @@ _CHAIN_GROUP = 8  # pair-squeeze chains per operator_exponential call
 
 
 def memory_budget() -> int:
-    """Cap on dim^2 two-mode entries, 2 dim^n qubit-boson entries and dim^4 pair-squeeze work.
+    """Cap on dim^2 two-mode entries, 2 dim^n qubit-boson entries and the pair-squeeze work.
 
     MEK_MEM_BUDGET overrides the default 2^28; it counts entries and work, not bytes.
     """
@@ -110,9 +116,12 @@ class ComplexAmplitudeTensor:
     """Dense coefficient array of a pure state over truncated occupation bases.
 
     ``amplitudes`` is indexed by per-factor occupation numbers and has shape
-    ``mode_dims``. ``tail_mass`` records the probability weight the truncation
-    neglects (1 - <psi|psi>, or the measured boundary contamination after an
-    operator was applied in the truncated space).
+    ``mode_dims``. It is stored as float64 when the input is real (or
+    integer) and as complex128 when it is complex; real amplitudes are a
+    complex state whose imaginary parts are all exactly zero. ``tail_mass``
+    records the probability weight the truncation neglects (1 - <psi|psi>, or
+    the measured boundary contamination after an operator was applied in the
+    truncated space).
     """
 
     amplitudes: np.ndarray
@@ -120,7 +129,8 @@ class ComplexAmplitudeTensor:
     tail_mass: float
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
         self.mode_dims = tuple(int(d) for d in self.mode_dims)
         if self.amplitudes.shape != self.mode_dims:
             raise DimensionError(
@@ -147,12 +157,22 @@ def validate_state(state: ComplexAmplitudeTensor, tail_tol: float = DEFAULT_TAIL
 # ladder operators and matrix exponential
 # ---------------------------------------------------------------------------
 
+def _real_if_exact(value: complex):
+    """``value`` as a float when its imaginary part is exactly 0, else as a complex.
+
+    The arrays a parameter enters take its type, so real parameters keep a
+    build in float64.
+    """
+    value = complex(value)
+    return value.real if value.imag == 0.0 else value
+
+
 def annihilation_matrix(n_max: int) -> np.ndarray:
-    """Annihilation operator in the number basis: entry (n-1, n) = sqrt(n)."""
+    """Annihilation operator in the number basis: entry (n-1, n) = sqrt(n), float64."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     dim = n_max + 1
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((dim, dim))
     ns = np.arange(1, dim)
     mat[ns - 1, ns] = np.sqrt(ns)
     return mat
@@ -173,7 +193,8 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
     Callers pass single-mode displacement generators and stacks of the
     tridiagonal pair-squeeze chains, each at most one mode dimension wide.
     Anti-Hermitian generators map to matrices that are unitary at the 1e-12
-    level.
+    level. The result has the generator's dtype (integers give float64), so a
+    real generator runs in real arithmetic throughout.
 
     A stack of shape ``(..., n, n)`` is exponentiated matrix by matrix, as in
     ``np.linalg``: the largest 1-norm in the stack sets one squaring count and
@@ -191,15 +212,15 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
     gen = np.asarray(generator)
     if gen.ndim < 2 or gen.shape[-1] != gen.shape[-2]:
         raise DimensionError(f"generator must be square or a stack of squares, got {gen.shape}")
-    if not np.all(np.isfinite(gen.real)) or (np.iscomplexobj(gen) and not np.all(np.isfinite(gen.imag))):
+    if not np.all(np.isfinite(gen)):
         raise ValueError("generator has non-finite entries")
-    # real-valued generators stay in real arithmetic; promoted on return
-    work = gen.real.copy() if np.iscomplexobj(gen) and not gen.imag.any() else gen.copy()
 
     # the 1-norm (largest column sum) of every member, maximised over the stack
-    norm = float(np.add.reduce(np.abs(work), axis=-2).max()) if work.size else 0.0
+    norm = float(np.add.reduce(np.abs(gen), axis=-2).max()) if gen.size else 0.0
     squarings = int(max(0, math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    scaled = work / (2.0 ** squarings)
+    # C order whatever the generator's layout: the series adds ``scaled`` to
+    # matmul products, which are C-ordered, and mixed layouts run strided
+    scaled = np.divide(gen, 2.0 ** squarings, order="C")
     scaled_norm = norm / (2.0 ** squarings)
 
     # smallest degree whose next term a^(m+1)/(m+1)! is negligible
@@ -238,7 +259,7 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
         total += block_sum(j)
     for _ in range(squarings):
         total = total @ total
-    return total.astype(complex, copy=False)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +353,9 @@ def _check_squeezed_tail(r: float, cutoff: FockCutoff, tail_tol: float):
 # ---------------------------------------------------------------------------
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """Number-basis coefficients e^{-|alpha|^2 / 2} alpha^n / sqrt(n!)."""
-    out = np.empty(n_max + 1, dtype=complex)
+    """Number-basis coefficients e^{-|alpha|^2 / 2} alpha^n / sqrt(n!); float64 for real alpha."""
+    alpha = _real_if_exact(alpha)
+    out = np.empty(n_max + 1, dtype=type(alpha))
     out[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, n_max + 1):
         out[n] = out[n - 1] * alpha / math.sqrt(n)
@@ -383,25 +405,28 @@ def build_squeezed_vacuum(
     cutoff: FockCutoff,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ComplexAmplitudeTensor:
-    """Pair-squeezed vacuum: diagonal tensor e^{i n theta} tanh^n r / cosh r."""
+    """Pair-squeezed vacuum: diagonal tensor e^{i n theta} tanh^n r / cosh r; real at theta = 0."""
     _check_tol(tail_tol)
     _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     _check_squeezed_tail(params.r, cutoff, tail_tol)
-    amps = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+    amps = np.zeros((cutoff.dim, cutoff.dim), dtype=float if params.theta == 0.0 else complex)
     if params.r == 0.0:
         amps[0, 0] = 1.0
     else:
         ns = np.arange(cutoff.dim)
-        log_mag = ns * log_tanh(params.r) - math.log(math.cosh(params.r))
-        amps[ns, ns] = np.exp(log_mag + 1j * ns * params.theta)
+        exponent = ns * log_tanh(params.r) - math.log(math.cosh(params.r))
+        if params.theta != 0.0:
+            exponent = exponent + 1j * ns * params.theta
+        amps[ns, ns] = np.exp(exponent)
     tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), tail_mass)
 
 
 def displacement_generator(alpha: complex, n_max: int) -> np.ndarray:
-    """Single-mode anti-Hermitian generator alpha a^dag - alpha^* a."""
+    """Single-mode anti-Hermitian generator alpha a^dag - alpha^* a; float64 for real alpha."""
+    alpha = _real_if_exact(alpha)
     a = annihilation_matrix(n_max)
-    return alpha * a.conj().T - np.conj(alpha) * a
+    return alpha * a.T - np.conj(alpha) * a
 
 
 def _boundary_mass(amps: np.ndarray) -> float:
@@ -485,28 +510,41 @@ def _squeeze_sectors(amplitudes: np.ndarray, params: SqueezedStateParams) -> np.
     them; exp(blockdiag(G, 0)) = blockdiag(exp G, I), so the padding is exact
     and is never scattered back. Every entry of the result belongs to exactly
     one chain.
+
+    At theta = 0 the chains are real, so they are exponentiated in float64;
+    the result is float64 when the input is too, and complex128 otherwise.
     """
-    z = params.r * complex(math.cos(params.theta), math.sin(params.theta))
+    z = _real_if_exact(params.r * complex(math.cos(params.theta), math.sin(params.theta)))
     dim = amplitudes.shape[0]
-    out = np.empty_like(amplitudes)
+    out = np.empty(amplitudes.shape, dtype=np.result_type(amplitudes, type(z)))
     for k0 in range(0, dim, _CHAIN_GROUP):
         size = dim - k0  # length of chain k0, the longest in its group
         k = np.arange(k0, min(k0 + _CHAIN_GROUP, dim))[:, None]
         j = np.arange(size)
         inside = j < dim - k  # chain k holds the states j = 0 .. dim - k - 1
         link = np.where(inside, np.sqrt((k + j) * j), 0.0)[:, 1:]
-        generator = np.zeros((len(k), size, size), dtype=complex)
+        generator = np.zeros((len(k), size, size), dtype=type(z))
         generator[:, j[1:], j[:-1]] = z * link
         generator[:, j[:-1], j[1:]] = -np.conj(z) * link
         chain, m = np.nonzero(inside)
         n = k0 + chain + m
-        columns = np.zeros((len(k), size, 2), dtype=complex)
+        columns = np.zeros((len(k), size, 2), dtype=amplitudes.dtype)
         columns[chain, m, 0] = amplitudes[n, m]
         columns[chain, m, 1] = amplitudes[m, n]
         moved = operator_exponential(generator) @ columns
         out[n, m] = moved[chain, m, 0]
         out[m, n] = moved[chain, m, 1]
     return out
+
+
+def _pair_squeeze_work(dim: int) -> int:
+    """Sum of g L^3 over the stacked chain groups of ``_squeeze_sectors``: about dim^4 / 4.
+
+    A group of g chains is padded to its longest chain, of length L.
+    """
+    return sum(
+        min(_CHAIN_GROUP, dim - k0) * (dim - k0) ** 3 for k0 in range(0, dim, _CHAIN_GROUP)
+    )
 
 
 def build_squeezed_coherent(
@@ -518,13 +556,12 @@ def build_squeezed_coherent(
     """Squeeze an already-displaced two-mode state, one conserved n_a - n_b sector at a time.
 
     The pair squeeze acts on the coherent product state chain by chain (see
-    ``_squeeze_sectors``). Its work, the sum of the cubed lengths of the dim
-    chains shared by sectors +k and -k (about dim^4 / 4), plus the zero padding
-    of each stacked group (about 4 dim^3), is capped by requiring
-    dim^4 <= the memory budget.
+    ``_squeeze_sectors``). Its work, g L^3 for each stacked group of g chains
+    padded to length L, summed over the groups (about dim^4 / 4), must not
+    exceed the memory budget.
     """
     _check_tol(tail_tol)
-    _check_budget(cutoff.dim ** 4, "pair-squeeze chain work dim^4")
+    _check_budget(_pair_squeeze_work(cutoff.dim), "pair-squeeze chain work sum g L^3")
     _check_squeezed_tail(params_s.r, cutoff, tail_tol)
     base = build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
     if params_s.r == 0.0:
@@ -550,9 +587,10 @@ def build_silbey_harris(
     _check_tol(tail_tol)
     dims = (2,) + (cutoff.dim,) * params.n_modes
     _check_budget(math.prod(dims), "qubit-boson state entries 2 dim^n_modes")
-    amps = np.empty(dims, dtype=complex)
-    amps[0] = _coherent_product(params.f, cutoff, tail_tol)
-    amps[1] = -_coherent_product(tuple(-f_k for f_k in params.f), cutoff, tail_tol)
+    amps = np.stack((
+        _coherent_product(params.f, cutoff, tail_tol),
+        -_coherent_product(tuple(-f_k for f_k in params.f), cutoff, tail_tol),
+    ))
     amps /= math.sqrt(2.0)
     tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, dims, tail_mass)

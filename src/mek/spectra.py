@@ -6,6 +6,10 @@ squareness, Hermiticity, and the round-off window for negative eigenvalues.
 A reduction that is exactly diagonal (a state already in Schmidt form, such as
 the two-mode squeezed vacuum) is built, checked and read off in O(d^2), with
 neither the O(d^3) product nor the solve.
+
+Real amplitudes give a real symmetric rho (float64), which goes through the
+same calls to LAPACK's real kernels; complex amplitudes give a complex
+Hermitian rho. Nothing is cast between the two.
 """
 
 from dataclasses import dataclass
@@ -77,13 +81,14 @@ def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDen
     runs over the joint index of all traced factors. A square unfolding with
     no nonzero off-diagonal amplitude (a state already in Schmidt form, such
     as the two-mode squeezed vacuum) gives the diagonal rho_ii = |psi_ii|^2
-    in O(d^2), without the O(d^3) product; any other state takes the product.
+    in O(d^2), without the O(d^3) product, as float64; any other state takes
+    the product, in the amplitudes' dtype.
     """
     unfolded = _unfold(state, keep_factor)
     diagonal_only = _is_diagonal_only(unfolded)
     if diagonal_only:
         schmidt = unfolded.diagonal()
-        rho = np.zeros(unfolded.shape, dtype=complex)
+        rho = np.zeros(unfolded.shape)
         np.fill_diagonal(rho, schmidt.real**2 + schmidt.imag**2)
     else:
         unfolded = np.ascontiguousarray(unfolded)
@@ -111,10 +116,13 @@ def hermitian_eigenvalues(
     sorted, and its finiteness and Hermiticity checks read only the diagonal;
     the squeezed-vacuum reductions are exactly diagonal, and this skips an
     O(d^3) solve on them. Any other input goes to LAPACK's Hermitian
-    eigenvalue solver. Non-finite entries are an error. Negative round-off
-    above -1e-10 is clamped to zero; anything below is an error.
+    eigenvalue solver in its own dtype: the real symmetric solver for real
+    input, the complex Hermitian one for complex input. Non-finite entries
+    are an error. Negative round-off above -1e-10 is clamped to zero;
+    anything below is an error.
     """
-    entries = np.asarray(rho.entries, dtype=complex)
+    entries = np.asarray(rho.entries)
+    entries = entries.astype(np.result_type(entries, np.float64), copy=False)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionError(f"density matrix must be square, got {entries.shape}")
     diagonal_only = _is_diagonal_only(entries)

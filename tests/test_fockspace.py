@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mek import analytic, fockspace, spectra
+from mek import analytic, cli, fockspace, spectra
 from mek.exceptions import DimensionError, MemoryBudgetError, TailMassError
 from mek.fockspace import (
     ComplexAmplitudeTensor,
@@ -74,12 +74,12 @@ class TestOperatorExponential:
             u = operator_exponential(gen)
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
 
-    def test_real_generator_promoted(self):
+    def test_real_generator_stays_real(self):
         gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
         out = operator_exponential(gen)
-        assert out.dtype == complex
+        assert out.dtype == np.float64
         np.testing.assert_allclose(
-            out.real, [[math.cos(1), math.sin(1)], [-math.sin(1), math.cos(1)]], atol=1e-14
+            out, [[math.cos(1), math.sin(1)], [-math.sin(1), math.cos(1)]], atol=1e-14
         )
 
     def test_group_property(self):
@@ -390,6 +390,79 @@ class TestSqueezedCoherent:
                 DisplacementParams(0.1, 0.1),
                 FockCutoff(30),
             )
+
+    def test_budget_counts_stacked_chain_work(self, monkeypatch):
+        # d = 20: groups of 8, 8 and 4 chains padded to 20, 12 and 4 give
+        # 8 * 20^3 + 8 * 12^3 + 4 * 4^3 = 78,080, against dim^4 = 160,000
+        assert fockspace._pair_squeeze_work(20) == 78_080
+        args = (SqueezedStateParams(0.3), DisplacementParams(0.1, 0.1), FockCutoff(19))
+        monkeypatch.setenv("MEK_MEM_BUDGET", "100000")
+        assert build_squeezed_coherent(*args).amplitudes.shape == (20, 20)
+        monkeypatch.setenv("MEK_MEM_BUDGET", "78079")
+        with pytest.raises(MemoryBudgetError, match="78080"):
+            build_squeezed_coherent(*args)
+
+
+class TestDtypeRule:
+    """Amplitudes are float64 when every parameter of a build is real, else complex128."""
+
+    def test_real_parameters_stay_float64(self):
+        cutoff = FockCutoff(30)
+        disp = DisplacementParams(0.5, 0.3)
+        builds = (
+            build_squeezed_vacuum(SqueezedStateParams(0.6), cutoff),
+            build_coherent_two_mode(disp, cutoff),
+            build_squeezed_coherent(SqueezedStateParams(0.4), disp, cutoff),
+            cli.build_displaced_squeezed(1.0, cli.SWEEP_DISPLACEMENT),
+            build_silbey_harris(SHParams((0.3, 0.4)), FockCutoff(12)),
+        )
+        for state in builds:
+            assert state.amplitudes.dtype == np.float64
+            assert spectra.partial_trace(state, 0).entries.dtype == np.float64
+
+    def test_complex_parameters_give_complex128(self):
+        cutoff = FockCutoff(30)
+        builds = (
+            build_squeezed_vacuum(SqueezedStateParams(0.6, 0.7), cutoff),
+            build_coherent_two_mode(DisplacementParams(0.5 + 0.2j, 0.3), cutoff),
+            build_squeezed_coherent(
+                SqueezedStateParams(0.4, 1.1), DisplacementParams(0.5, 0.3), cutoff
+            ),
+            build_squeezed_coherent(
+                SqueezedStateParams(0.4), DisplacementParams(0.5, 0.3j), cutoff
+            ),
+        )
+        for state in builds:
+            assert state.amplitudes.dtype == np.complex128
+        # a diagonal reduction holds |psi_ii|^2, real whatever the phases
+        rhos = [spectra.partial_trace(state, 0).entries for state in builds]
+        assert [rho.dtype for rho in rhos] == [np.float64] + [np.complex128] * 3
+
+    def test_ladder_and_generators_follow_the_parameter(self):
+        assert annihilation_matrix(4).dtype == np.float64
+        assert fockspace.displacement_generator(0.5, 4).dtype == np.float64
+        assert fockspace.displacement_generator(0.5 + 0j, 4).dtype == np.float64
+        assert fockspace.displacement_generator(0.5j, 4).dtype == np.complex128
+        assert coherent_amplitudes(complex(0.5), 4).dtype == np.float64
+        assert coherent_amplitudes(0.5 - 0.1j, 4).dtype == np.complex128
+
+    def test_tensor_stores_float64_or_complex128(self):
+        cases = ((int, np.float64), (np.float32, np.float64), (complex, np.complex128))
+        for given, stored in cases:
+            state = ComplexAmplitudeTensor(np.eye(2, dtype=given), (2, 2), 0.0)
+            assert state.amplitudes.dtype == stored
+
+    def test_real_chains_match_the_complex_route(self):
+        rng = np.random.default_rng(11)
+        for dim in (9, 20, 47):
+            amps = rng.normal(size=(dim, dim))
+            amps /= np.linalg.norm(amps)
+            params = SqueezedStateParams(0.6)
+            real = fockspace._squeeze_sectors(amps, params)
+            assert real.dtype == np.float64
+            cast = fockspace._squeeze_sectors(amps.astype(complex), params)
+            assert cast.dtype == np.complex128
+            assert np.max(np.abs(real - cast)) < 1e-15
 
 
 class TestSilbeyHarris:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mek import analytic
+from mek import analytic, spectra
 from mek.exceptions import ContractError, DimensionError
 from mek.fockspace import (
     ComplexAmplitudeTensor,
@@ -155,6 +155,33 @@ class TestHermitianEigenvalues:
         for entries in (np.diag([bad, 1.0]), np.array([[0.5, bad], [bad, 0.5]])):
             with pytest.raises(ContractError):
                 hermitian_eigenvalues(ReducedDensityMatrix(entries.astype(complex)))
+
+    def test_real_symmetric_matches_complex_cast(self):
+        rng = np.random.default_rng(13)
+        raws = [rng.normal(size=(dim, dim)) for dim in (5, 24, 64)]
+        rhos = [raw @ raw.T / np.sum(raw * raw) for raw in raws]
+        displaced = apply_two_mode_displacement(
+            build_squeezed_vacuum(SqueezedStateParams(1.0), FockCutoff(63)),
+            DisplacementParams(0.5, 0.3),
+        )
+        rhos.append(partial_trace(displaced, 0).entries)
+        for rho in rhos:
+            assert rho.dtype == np.float64
+            np.testing.assert_array_equal(rho, rho.T)
+            real = hermitian_eigenvalues(ReducedDensityMatrix(rho)).probabilities
+            cast = hermitian_eigenvalues(ReducedDensityMatrix(rho.astype(complex))).probabilities
+            assert np.max(np.abs(real - cast)) < 1e-15
+
+    def test_rejects_real_asymmetric(self):
+        with pytest.raises(ContractError, match="not Hermitian"):
+            hermitian_eigenvalues(ReducedDensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]])))
+
+    def test_real_nan_off_diagonal_is_not_diagonal(self):
+        entries = np.diag([0.5, 0.5])
+        entries[0, 1] = math.nan
+        assert not spectra._is_diagonal_only(entries)
+        with pytest.raises(ContractError):
+            hermitian_eigenvalues(ReducedDensityMatrix(entries))
 
     def test_rejects_genuinely_negative(self):
         rho = ReducedDensityMatrix(np.diag([1.1, -0.1]).astype(complex))
