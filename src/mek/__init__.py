@@ -8,8 +8,6 @@ tables, and the verification battery.
 """
 
 from .analytic import (
-    EntropyReport,
-    entropy_report,
     renyi_general,
     renyi_sh,
     renyi_squeezed,
@@ -40,7 +38,6 @@ from .fockspace import (
     build_squeezed_vacuum,
     coherent_amplitudes,
     coherent_cutoff,
-    creation_matrix,
     operator_exponential,
     squeezed_cutoff,
 )

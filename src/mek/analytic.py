@@ -12,7 +12,6 @@ truncation-dependent number.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from ._stable import log1mexp, log_cosh, log_tanh, xlnx
 from .exceptions import ContractError
 from .fockspace import SHParams
 from .spectra import DEFAULT_RANK_TOL, EntanglementSpectrum, schmidt_rank
-
-DEFAULT_MU_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, math.inf)
 
 
 def _check_order(mu: float) -> float:
@@ -173,41 +170,3 @@ def renyi_general(spectrum: EntanglementSpectrum, mu: float) -> float:
     peak = float(np.max(scaled))
     log_power_sum = peak + math.log(float(np.sum(np.exp(scaled - peak))))
     return log_power_sum / (1.0 - mu)
-
-
-# ---------------------------------------------------------------------------
-# bundled report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EntropyReport:
-    """Entropies of one state across a grid of Renyi orders.
-
-    ``s_mu_grid`` holds (order, entropy) pairs; the named fields are the
-    distinguished values: von Neumann, order 2 with its purity e^{-S_2},
-    single-copy (order inf), and the log Schmidt rank (order-0 limit).
-    """
-
-    s_mu_grid: list
-    s_vn: float
-    s_2: float
-    purity_gamma: float
-    sce: float
-    schmidt_rank_log: float
-
-
-def entropy_report(entropy, mu_grid=DEFAULT_MU_GRID) -> EntropyReport:
-    """Report of one state from its Renyi entropy as a function of the order.
-
-    ``entropy(mu)`` may be a closed form, e.g. ``lambda mu: renyi_squeezed(r, mu)``,
-    or a spectrum route, ``functools.partial(renyi_general, spectrum)``.
-    """
-    s_2 = entropy(2.0)
-    return EntropyReport(
-        s_mu_grid=[(mu, entropy(mu)) for mu in mu_grid],
-        s_vn=entropy(1.0),
-        s_2=s_2,
-        purity_gamma=math.exp(-s_2),
-        sce=entropy(math.inf),
-        schmidt_rank_log=entropy(0.0),
-    )

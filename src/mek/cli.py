@@ -37,7 +37,7 @@ class SweepConfig:
     parameter_grid: list
     mu_list: list
     oracle: bool = False
-    tail_tolerance: float = 1e-12
+    tail_tolerance: float = fockspace.DEFAULT_TAIL_TOL
     output_path: str | None = None
     format: str = "csv"
     hbar_omega: float = 1.0
@@ -52,8 +52,10 @@ class SweepConfig:
             raise ValueError("grid parameters must be finite and non-negative")
         if not (0.0 < self.hbar_omega < math.inf and 0.0 < self.delta < math.inf):
             raise ValueError("level spacing and gap must be finite and positive")
-        if not 0.0 < self.tail_tolerance <= 1e-6:
-            raise ValueError("tail tolerance must lie in (0, 1e-6]")
+        # the builders leave a norm defect up to the tail tolerance, and
+        # partial_trace rejects a trace defect from spectra.TRACE_TOL on
+        if not 0.0 < self.tail_tolerance <= spectra.TRACE_TOL:
+            raise ValueError(f"tail tolerance must lie in (0, {spectra.TRACE_TOL:g}]")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
 
@@ -350,13 +352,15 @@ def _padded_max_diff(a, b) -> float:
     return float(np.max(np.abs(pa - pb)))
 
 
-def run_verification(tail_tol: float = 1e-12, seed: int = 0, _corrupt: str | None = None):
+def run_verification(seed: int = 0, _corrupt: str | None = None):
     """Run the full cross-check battery on seeded pseudo-random parameters.
 
-    Returns a list of CheckResult in a fixed order. ``_corrupt`` is a test
-    hook: "normalization" tampers with one spectrum so the battery must
-    report the spectrum-normalization check as failed.
+    Every truncated state is built at ``fockspace.DEFAULT_TAIL_TOL``. Returns
+    a list of CheckResult in a fixed order. ``_corrupt`` is a test hook:
+    "normalization" tampers with one spectrum so the battery must report the
+    spectrum-normalization check as failed.
     """
+    tail_tol = fockspace.DEFAULT_TAIL_TOL
     rng = np.random.default_rng(seed)
     results = []
 
@@ -598,8 +602,6 @@ def _add_common(parser, default_grid):
     parser.add_argument("--grid", default=default_grid,
                         help="parameter grid, 'start:stop:count' or comma list; r for the "
                              "squeezed families, |alpha| for coherent, f.f for silbey-harris")
-    parser.add_argument("--tail-tol", type=float, default=1e-12,
-                        help="occupation tail tolerance for truncated-basis checks (default 1e-12)")
     parser.add_argument("--hbar-omega", type=float, default=1.0,
                         help="oscillator level spacing of the effective model (default 1.0)")
     parser.add_argument("--delta", type=float, default=1.0,
@@ -627,10 +629,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"beta={SWEEP_DISPLACEMENT.beta_b.real}; "
                             "exit is nonzero if any finite deviation exceeds 1e-8 "
                             "(order 0 on the squeezed family has no finite reference)")
+    sweep.add_argument("--tail-tol", type=float, default=fockspace.DEFAULT_TAIL_TOL,
+                       help="occupation tail tolerance of the --oracle states, in "
+                            f"(0, {spectra.TRACE_TOL:g}] (default %(default)g)")
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the full invariant battery")
-    verify.add_argument("--tail-tol", type=float, default=1e-12)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=_cmd_verify)
 
@@ -646,7 +650,7 @@ def _config_from_args(args, mu_list) -> SweepConfig:
         parameter_grid=parse_grid(args.grid),
         mu_list=mu_list,
         oracle=getattr(args, "oracle", False),
-        tail_tolerance=args.tail_tol,
+        tail_tolerance=getattr(args, "tail_tol", fockspace.DEFAULT_TAIL_TOL),
         output_path=args.out,
         format=args.format,
         hbar_omega=args.hbar_omega,
@@ -669,7 +673,7 @@ def _cmd_thermo_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_verification(tail_tol=args.tail_tol, seed=args.seed)
+    results = run_verification(seed=args.seed)
     return print_verification(results)
 
 

@@ -15,7 +15,7 @@ class TailMassError(ValueError):
 
 
 class MemoryBudgetError(RuntimeError):
-    """Oracle over MEK_MEM_BUDGET: dim^2 or 2 dim^n state entries, or dim^4 pair-squeeze work."""
+    """Oracle over MEK_MEM_BUDGET: dim^2 or 2 dim^n entries, or pair-squeeze work sum g L^3."""
 
 
 class NumericalError(RuntimeError):

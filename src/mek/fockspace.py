@@ -142,17 +142,6 @@ class ComplexAmplitudeTensor:
         return float(np.linalg.norm(self.amplitudes.ravel()))
 
 
-def validate_state(state: ComplexAmplitudeTensor, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Check |1 - <psi|psi>| against the tail tolerance; returns the defect."""
-    defect = abs(1.0 - state.norm() ** 2)
-    if defect >= tail_tol:
-        raise TailMassError(
-            f"state norm defect {defect:.3e} exceeds tail tolerance {tail_tol:.3e}",
-            measured=defect,
-        )
-    return defect
-
-
 # ---------------------------------------------------------------------------
 # ladder operators and matrix exponential
 # ---------------------------------------------------------------------------
@@ -176,11 +165,6 @@ def annihilation_matrix(n_max: int) -> np.ndarray:
     ns = np.arange(1, dim)
     mat[ns - 1, ns] = np.sqrt(ns)
     return mat
-
-
-def creation_matrix(n_max: int) -> np.ndarray:
-    """Creation operator, the conjugate transpose of the annihilation matrix."""
-    return annihilation_matrix(n_max).conj().T
 
 
 def operator_exponential(generator: np.ndarray) -> np.ndarray:

@@ -22,16 +22,15 @@ from .spectra import EntanglementSpectrum
 
 @dataclass(frozen=True)
 class EffectiveThermalModel:
-    """Levels, reciprocal temperature, partition function, and free energy.
+    """Reciprocal temperature, partition function, and free energy of a level ladder.
 
-    ``energy_levels`` is the materialized prefix of the ladder (E_0 = 0); for
-    the harmonic family the ladder is conceptually infinite, flagged by
-    ``infinite_ladder``, and further levels are n * energy_scale. A separable
-    state maps to the zero-temperature sentinel beta = inf with weights
-    {1, 0, ...}.
+    The levels are E_n = n * energy_scale with the ground at 0: two of them
+    (0, energy_scale) for the qubit-boson family, and a conceptually infinite
+    harmonic ladder, flagged by ``infinite_ladder``, for the squeezed family.
+    A separable state maps to the zero-temperature sentinel beta = inf with
+    weights {1, 0, ...}.
     """
 
-    energy_levels: tuple
     beta_eff: float
     energy_scale: float
     partition_function: float
@@ -49,13 +48,12 @@ def oscillator_model_from_squeezing(r: float, hbar_omega: float = 1.0) -> Effect
         raise ValueError(f"squeezing magnitude must be non-negative, got {r}")
     if hbar_omega <= 0.0:
         raise ValueError(f"level spacing must be positive, got {hbar_omega}")
-    levels = (0.0, hbar_omega)
     if r == 0.0:
-        return EffectiveThermalModel(levels, math.inf, hbar_omega, 1.0, 0.0, True)
+        return EffectiveThermalModel(math.inf, hbar_omega, 1.0, 0.0, True)
     beta = -2.0 * log_tanh(r) / hbar_omega
     z = math.cosh(r) ** 2
     free_energy = -2.0 * log_cosh(r) / beta
-    return EffectiveThermalModel(levels, beta, hbar_omega, z, free_energy, True)
+    return EffectiveThermalModel(beta, hbar_omega, z, free_energy, True)
 
 
 def two_level_model_from_sh(params: SHParams, delta: float = 1.0) -> EffectiveThermalModel:
@@ -67,25 +65,20 @@ def two_level_model_from_sh(params: SHParams, delta: float = 1.0) -> EffectiveTh
     if delta <= 0.0:
         raise ValueError(f"energy gap must be positive, got {delta}")
     s = params.f_dot_f
-    levels = (0.0, delta)
     if s == 0.0:
-        return EffectiveThermalModel(levels, math.inf, delta, 1.0, 0.0, False)
+        return EffectiveThermalModel(math.inf, delta, 1.0, 0.0, False)
     beta = -log_tanh(s) / delta
     z = 1.0 + math.tanh(s)
     free_energy = -math.log(z) / beta
-    return EffectiveThermalModel(levels, beta, delta, z, free_energy, False)
+    return EffectiveThermalModel(beta, delta, z, free_energy, False)
 
 
 def materialized_levels(model: EffectiveThermalModel, count: int) -> np.ndarray:
-    """First ``count`` energy levels, extending an infinite ladder as needed."""
+    """First ``count`` energy levels n * energy_scale; a two-level model has only two."""
     if count < 1:
         raise ValueError("count must be positive")
-    if count <= len(model.energy_levels):
-        return np.asarray(model.energy_levels[:count], dtype=float)
-    if not model.infinite_ladder:
-        raise DimensionError(
-            f"model has only {len(model.energy_levels)} levels but {count} were requested"
-        )
+    if count > 2 and not model.infinite_ladder:
+        raise DimensionError(f"model has only 2 levels but {count} were requested")
     return model.energy_scale * np.arange(count, dtype=float)
 
 
@@ -97,26 +90,6 @@ def boltzmann_weights(model: EffectiveThermalModel, count: int) -> np.ndarray:
         weights[0] = 1.0
         return weights
     return np.exp(-model.beta_eff * levels) / model.partition_function
-
-
-def validate_model(model: EffectiveThermalModel, tol: float = 1e-12) -> None:
-    """Assert the structural invariants of an effective model."""
-    levels = np.asarray(model.energy_levels, dtype=float)
-    if levels[0] != 0.0:
-        raise ValueError("ground level must sit exactly at zero")
-    if np.any(np.diff(levels) <= 0.0):
-        raise ValueError("levels must be strictly increasing")
-    if model.partition_function < 1.0 - tol:
-        raise ValueError(f"partition function {model.partition_function} below 1")
-    if model.free_energy > tol:
-        raise ValueError(f"free energy {model.free_energy} above 0")
-    if not math.isinf(model.beta_eff):
-        log_z = math.log(model.partition_function)
-        if abs(model.free_energy + log_z / model.beta_eff) > tol:
-            raise ValueError("free energy does not match -ln Z / beta")
-    top = boltzmann_weights(model, 1)[0]
-    if abs(top - 1.0 / model.partition_function) > tol:
-        raise ValueError("largest weight does not equal 1 / Z")
 
 
 @dataclass

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mek.analytic import (
-    entropy_report,
     parse_renyi_order,
     renyi_general,
     renyi_sh,
@@ -250,10 +248,14 @@ class TestRenyiGeneral:
             assert renyi_general(spectrum, mu) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_matches_closed_form_on_squeezed_spectrum(self):
-        spectrum = squeezed_entanglement_spectrum(0.7, 200, rank_tolerance=0.0)
-        assert renyi_general(spectrum, 3.0) == pytest.approx(
-            renyi_squeezed(0.7, 3.0), abs=1e-12
-        )
+        for r, count, mu, tol in [
+            (0.7, 200, 3.0, 1e-12),
+            (0.8, 300, 1.0, 1e-10),
+            (0.8, 300, 2.0, 1e-12),
+            (0.8, 300, math.inf, 1e-12),
+        ]:
+            spectrum = squeezed_entanglement_spectrum(r, count, rank_tolerance=0.0)
+            assert renyi_general(spectrum, mu) == pytest.approx(renyi_squeezed(r, mu), abs=tol)
 
     def test_matches_brute_force_on_random_spectra(self):
         rng = np.random.default_rng(4)
@@ -276,29 +278,14 @@ class TestRenyiGeneral:
             renyi_general(spectrum, 2.0)
 
 
-class TestEntropyReport:
-    def test_squeezed_report_consistent(self):
-        report = entropy_report(lambda mu: renyi_squeezed(1.2, mu))
-        values = [s for _, s in report.s_mu_grid]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-        assert report.purity_gamma == pytest.approx(math.exp(-report.s_2), abs=1e-15)
-        assert report.purity_gamma == pytest.approx(1.0 / math.cosh(2.4), abs=1e-12)
-        assert report.schmidt_rank_log == math.inf
-
-    def test_sh_report_consistent(self):
-        report = entropy_report(lambda mu: renyi_sh(SHParams((0.6, 0.3)), mu))
-        values = [s for _, s in report.s_mu_grid]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-        assert report.schmidt_rank_log == pytest.approx(math.log(2.0))
-        assert report.sce == pytest.approx(renyi_sh(SHParams((0.6, 0.3)), math.inf))
-
-    def test_spectrum_report_matches_closed_form(self):
-        spectrum = squeezed_entanglement_spectrum(0.8, 300, rank_tolerance=0.0)
-        report = entropy_report(functools.partial(renyi_general, spectrum))
-        closed = entropy_report(lambda mu: renyi_squeezed(0.8, mu))
-        assert report.s_vn == pytest.approx(closed.s_vn, abs=1e-10)
-        assert report.s_2 == pytest.approx(closed.s_2, abs=1e-12)
-        assert report.sce == pytest.approx(closed.sce, abs=1e-12)
+@pytest.mark.parametrize("entropy", [
+    lambda mu: renyi_squeezed(1.2, mu),
+    lambda mu: renyi_sh(SHParams((0.6, 0.3)), mu),
+], ids=["squeezed", "silbey-harris"])
+def test_non_increasing_through_the_limit_orders(entropy):
+    # the hypothesis tests above keep clear of order 1 and never reach inf
+    values = [entropy(mu) for mu in (0.5, 1.0, 2.0, 5.0, 10.0, math.inf)]
+    assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_parse_renyi_order():

@@ -55,8 +55,10 @@ class TestSweepConfig:
             SweepConfig("squeezed", [], [1.0])
 
     def test_tolerance_window(self):
-        with pytest.raises(ValueError):
-            SweepConfig("squeezed", [0.5], [1.0], tail_tolerance=1e-3)
+        SweepConfig("squeezed", [0.5], [1.0], tail_tolerance=1e-10)
+        for bad in (1e-3, 2e-10, 0.0):
+            with pytest.raises(ValueError, match=r"\(0, 1e-10\]"):
+                SweepConfig("squeezed", [0.5], [1.0], tail_tolerance=bad)
 
     def test_negative_parameter(self):
         with pytest.raises(ValueError):
@@ -271,13 +273,19 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "checks passed" in out
 
-    @pytest.mark.parametrize("command", ["sweep", "thermo-table"])
-    def test_grid_commands_take_no_seed(self, command, capsys):
-        # sweeps are grid-driven; only verify draws pseudo-random parameters
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--seed", "1"),
+        ("thermo-table", "--seed", "1"),
+        ("thermo-table", "--tail-tol", "1e-12"),
+        ("verify", "--tail-tol", "1e-12"),
+    ], ids=["sweep", "thermo-table", "thermo-table-tail-tol", "verify-tail-tol"])
+    def test_grid_commands_take_no_seed(self, command, flag, value, capsys):
+        # sweeps are grid-driven, so only verify draws pseudo-random parameters;
+        # only a sweep's oracle reads a tail tolerance, so only sweep takes one
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--seed", "1"])
+            cli.main([command, flag, value])
         assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_unwritable_path(self, tmp_path, capsys):
         code = cli.main(
@@ -287,8 +295,12 @@ class TestMainEntry:
         assert "cannot write" in capsys.readouterr().err
 
     def test_invalid_tolerance(self, capsys):
-        code = cli.main(["sweep", "--grid", "0,1", "--mu", "1", "--tail-tol", "0.01"])
-        assert code == 2
+        # a tail above the trace tolerance leaves a norm defect that partial_trace
+        # rejects, so the command line refuses it before building anything
+        for tol in ("0.01", "1e-8"):
+            code = cli.main(["sweep", "--grid", "1", "--oracle", "--tail-tol", tol, "--mu", "1"])
+            assert code == 2
+            assert capsys.readouterr().err == "mek: tail tolerance must lie in (0, 1e-10]\n"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--grid", "nan"],

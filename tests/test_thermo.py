@@ -12,7 +12,6 @@ from mek.thermo import (
     materialized_levels,
     oscillator_model_from_squeezing,
     two_level_model_from_sh,
-    validate_model,
     verify_thermal_consistency,
 )
 
@@ -23,6 +22,16 @@ BETA_DELTA_DOT1 = 0.2723414689118316  # -ln tanh(1)
 Z_DOT1 = 1.7615941559557649         # 1 + tanh(1)
 
 
+def assert_model_invariants(model, tol=1e-12):
+    # Z >= 1 and F <= 0 with the ground level at 0; F = -ln Z / beta; top weight 1/Z
+    assert model.partition_function >= 1.0 - tol
+    assert model.free_energy <= tol
+    if not math.isinf(model.beta_eff):
+        log_z = math.log(model.partition_function)
+        assert abs(model.free_energy + log_z / model.beta_eff) <= tol
+    assert abs(boltzmann_weights(model, 1)[0] - 1.0 / model.partition_function) <= tol
+
+
 class TestOscillatorModel:
     def test_unit_squeezing_values(self):
         model = oscillator_model_from_squeezing(1.0, 1.0)
@@ -31,7 +40,7 @@ class TestOscillatorModel:
         assert math.log(model.partition_function) == pytest.approx(
             analytic.renyi_squeezed(1.0, math.inf), abs=1e-12
         )
-        validate_model(model)
+        assert_model_invariants(model)
 
     def test_zero_squeezing_sentinel(self):
         model = oscillator_model_from_squeezing(0.0)
@@ -39,7 +48,7 @@ class TestOscillatorModel:
         assert model.partition_function == 1.0
         assert model.free_energy == 0.0
         np.testing.assert_array_equal(boltzmann_weights(model, 4), [1.0, 0.0, 0.0, 0.0])
-        validate_model(model)
+        assert_model_invariants(model)
 
     def test_weights_reproduce_spectrum(self):
         r = 0.5
@@ -81,7 +90,7 @@ class TestTwoLevelModel:
         assert math.log(model.partition_function) == pytest.approx(
             analytic.renyi_sh(SHParams((1.0,)), math.inf), abs=1e-14
         )
-        validate_model(model)
+        assert_model_invariants(model)
 
     def test_weights_match_spectrum(self):
         params = SHParams((0.6, 0.8))
@@ -101,7 +110,7 @@ class TestTwoLevelModel:
         model = two_level_model_from_sh(SHParams((0.0, 0.0)))
         assert math.isinf(model.beta_eff)
         np.testing.assert_array_equal(boltzmann_weights(model, 2), [1.0, 0.0])
-        validate_model(model)
+        assert_model_invariants(model)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -114,7 +123,8 @@ class TestMaterializedLevels:
         np.testing.assert_allclose(materialized_levels(model, 5), [0, 2, 4, 6, 8])
 
     def test_two_level_cannot_extend(self):
-        model = two_level_model_from_sh(SHParams((0.5,)))
+        model = two_level_model_from_sh(SHParams((0.5,)), 3.0)
+        np.testing.assert_array_equal(materialized_levels(model, 2), [0.0, 3.0])
         with pytest.raises(DimensionError):
             materialized_levels(model, 3)
 
