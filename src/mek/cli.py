@@ -85,12 +85,19 @@ def power_aware_tail_tol(tail_tol: float, mu_list) -> float:
     The mu-th powers of a geometric spectrum are again geometric; for orders
     below 1 the power series decays more slowly than the probabilities, so
     bounding its tail at ``tail_tol`` requires an occupation tail of
-    tail_tol^(1/mu).
+    tail_tol^(1/mu). ValueError if that tail underflows to 0 in float64.
     """
     fractional = [mu for mu in mu_list if 0.0 < mu < 1.0]
     if not fractional:
         return tail_tol
-    return tail_tol ** (1.0 / min(fractional))
+    mu = min(fractional)
+    tol = tail_tol ** (1.0 / mu)
+    if tol == 0.0:
+        raise ValueError(
+            f"Renyi order {mu:g} needs an occupation tail of {tail_tol:g}^(1/{mu:g}) ~ "
+            f"1e{math.log10(tail_tol) / mu:.0f}, which underflows float64; use a larger order"
+        )
+    return tol
 
 
 def _reduced_spectrum(
@@ -395,13 +402,20 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     record("builder-norm", dev, tail_tol)
 
-    # exponentials of anti-Hermitian generators are unitary
-    dev = 0.0
+    # exponentials of anti-Hermitian generators are unitary: the dense random
+    # ones take the series, the fixed CS-form ones the oracles build (a complex
+    # displacement and a complex pair-squeeze chain stack) take the SVD route
+    gens = []
     for _ in range(3):
         raw = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
-        gen = raw - raw.conj().T
+        gens.append(raw - raw.conj().T)
+    gens.append(fockspace.displacement_generator(1.2 - 0.7j, 199))
+    gens.append(fockspace.pair_chain_stack(0.8 * complex(math.cos(1.1), math.sin(1.1)), 60, 0))
+    dev = 0.0
+    for gen in gens:
         unitary = fockspace.operator_exponential(gen)
-        dev = max(dev, float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(24)))))
+        gram = np.conj(unitary).swapaxes(-1, -2) @ unitary
+        dev = max(dev, float(np.max(np.abs(gram - np.eye(gen.shape[-1])))))
     record("exponential-unitarity", dev, 1e-12)
 
     # coherent states are rank one with vanishing entropies

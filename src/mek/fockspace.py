@@ -1,7 +1,11 @@
 """Exact construction of composite bosonic states in truncated occupation bases.
 
 States are dense coefficient arrays built from raw ladder matrices and matrix
-exponentials, with analytic tail bounds guarding every truncation. The point
+exponentials, with analytic tail bounds guarding every truncation. The
+generators the builders exponentiate (displacements and pair-squeeze chains)
+couple only indices of opposite parity, and ``operator_exponential`` turns
+such a generator into its exponential through one half-size SVD; any other
+generator takes a scaling-and-squaring Taylor series. The point
 of this module is to be dumb and obviously correct: it is the independent
 numerical route against which the closed forms in :mod:`mek.analytic` are
 checked, so it must not share any formula with them.
@@ -168,37 +172,76 @@ def annihilation_matrix(n_max: int) -> np.ndarray:
 
 
 def operator_exponential(generator: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential by scaling and squaring a truncated series.
+    """Dense matrix exponential: closed form for CS-form generators, else a series.
 
-    The generator is scaled so its 1-norm drops below 1, the series order is
-    chosen so the first neglected term (the residual, i.e. the difference to
-    the next-order partial sum) is below 5e-18, and the polynomial is
-    evaluated blockwise (Paterson-Stockmeyer) to keep the matmul count small.
-    Callers pass single-mode displacement generators and stacks of the
-    tridiagonal pair-squeeze chains, each at most one mode dimension wide.
+    Two routes give the same exponential; the generator alone picks one:
+
+    - **CS form.** In even/odd index order the generator reads
+      G = [[0, A], [-A^H, 0]]: the even-even and odd-odd blocks are exactly
+      zero and ``gen[..., 1::2, ::2]`` equals -A^H exactly, with
+      A = ``gen[..., ::2, 1::2]``. Such a G is anti-Hermitian and couples
+      only indices of opposite parity, as the displacement generator
+      alpha a^dag - alpha^* a and the pair-squeeze chains do. One half-size
+      SVD A = U S W^H then gives exp G = [[U cos S U^H, U sin S W^H],
+      [-W sin S U^H, W cos S W^H]] exactly, with cos S padded with 1 on the
+      longer (even) side. A stack takes this route only if every member has
+      the form.
+    - **Series**, for every other generator: scaling and squaring a
+      truncated Taylor series (see ``_taylor_exponential``).
+
     Anti-Hermitian generators map to matrices that are unitary at the 1e-12
     level. The result has the generator's dtype (integers give float64), so a
-    real generator runs in real arithmetic throughout.
-
-    A stack of shape ``(..., n, n)`` is exponentiated matrix by matrix, as in
-    ``np.linalg``: the largest 1-norm in the stack sets one squaring count and
-    one series degree for all of it, so every member meets the residual
-    target. A single ``(n, n)`` matrix is the stack of one.
+    real generator runs in real arithmetic throughout. A stack of shape
+    ``(..., n, n)`` is exponentiated matrix by matrix, as in ``np.linalg``; a
+    single ``(n, n)`` matrix is the stack of one.
 
     Raises
     ------
     DimensionError
         If the generator is not a square matrix or a stack of them.
     NumericalError
-        If no series order within the cap meets the residual target; the
-        exception carries the residual estimate.
+        If, on the series route, no series order within the cap meets the
+        residual target; the exception carries the residual estimate.
     """
     gen = np.asarray(generator)
     if gen.ndim < 2 or gen.shape[-1] != gen.shape[-2]:
         raise DimensionError(f"generator must be square or a stack of squares, got {gen.shape}")
     if not np.all(np.isfinite(gen)):
         raise ValueError("generator has non-finite entries")
+    if gen.dtype.kind in "biu":
+        gen = gen.astype(np.float64)
+    upper = gen[..., ::2, 1::2]
+    if (
+        np.any(gen[..., ::2, ::2])
+        or np.any(gen[..., 1::2, 1::2])
+        or not np.array_equal(gen[..., 1::2, ::2], -np.conj(upper).swapaxes(-1, -2))
+    ):
+        return _taylor_exponential(gen)
 
+    u, sing, wh = np.linalg.svd(upper)  # u: even x even, wh: odd x odd
+    n_odd = sing.shape[-1]
+    cos = np.ones(u.shape[:-1])
+    cos[..., :n_odd] = np.cos(sing)
+    u_odd = u[..., :n_odd]
+    out = np.empty(gen.shape, dtype=gen.dtype)
+    out[..., ::2, ::2] = (u * cos[..., None, :]) @ np.conj(u).swapaxes(-1, -2)
+    out[..., ::2, 1::2] = (u_odd * np.sin(sing)[..., None, :]) @ wh
+    out[..., 1::2, ::2] = -np.conj(out[..., ::2, 1::2]).swapaxes(-1, -2)
+    out[..., 1::2, 1::2] = (np.conj(wh).swapaxes(-1, -2) * cos[..., None, :n_odd]) @ wh
+    return out
+
+
+def _taylor_exponential(gen: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a truncated Taylor series.
+
+    The generator is scaled so its 1-norm drops below 1, the series order is
+    chosen so the first neglected term (the residual, i.e. the difference to
+    the next-order partial sum) is below 5e-18, and the polynomial is
+    evaluated blockwise (Paterson-Stockmeyer) to keep the matmul count small.
+    The largest 1-norm in a stack sets one squaring count and one series
+    degree for all of it, so every member meets the residual target.
+    ``gen`` is a square matrix or a stack of them with finite entries.
+    """
     # the 1-norm (largest column sum) of every member, maximised over the stack
     norm = float(np.add.reduce(np.abs(gen), axis=-2).max()) if gen.size else 0.0
     squarings = int(max(0, math.ceil(math.log2(norm)))) if norm > 1.0 else 0
@@ -480,6 +523,25 @@ def reordered_displacement(
     )
 
 
+def pair_chain_stack(z: complex, dim: int, k0: int) -> np.ndarray:
+    """Pair-squeeze generators of the chain group k = k0, k0 + 1, ... of a dim x dim state.
+
+    Chain k holds the states |k + j, j>, j = 0 .. dim - k - 1, and its
+    generator is tridiagonal: z sqrt((k + j) j) at (j, j - 1) and the negated
+    conjugate at (j - 1, j). The group's ``_CHAIN_GROUP`` chains (fewer at
+    the end) are zero-padded to the longest, chain k0, of length dim - k0. A
+    real z gives float64.
+    """
+    size = dim - k0
+    k = np.arange(k0, min(k0 + _CHAIN_GROUP, dim))[:, None]
+    j = np.arange(size)
+    link = np.where(j < dim - k, np.sqrt((k + j) * j), 0.0)[:, 1:]
+    generator = np.zeros((len(k), size, size), dtype=type(z))
+    generator[:, j[1:], j[:-1]] = z * link
+    generator[:, j[:-1], j[1:]] = -np.conj(z) * link
+    return generator
+
+
 def _squeeze_sectors(amplitudes: np.ndarray, params: SqueezedStateParams) -> np.ndarray:
     """Apply exp(z a^dag b^dag - z^* a b) to a square two-mode array, sector by sector.
 
@@ -490,10 +552,11 @@ def _squeeze_sectors(amplitudes: np.ndarray, params: SqueezedStateParams) -> np.
     chains |k + j, j> and |j, k + j> of sectors +k and -k carry the same links
     in the same order, so only the dim chains k >= 0 are exponentiated, each
     applied to both sectors as two columns. ``_CHAIN_GROUP`` consecutive chains
-    go to ``operator_exponential`` as one stack, zero-padded to the longest of
-    them; exp(blockdiag(G, 0)) = blockdiag(exp G, I), so the padding is exact
-    and is never scattered back. Every entry of the result belongs to exactly
-    one chain.
+    go to ``operator_exponential`` as one stack (``pair_chain_stack``),
+    zero-padded to the longest of them. The padding is harmless: the padded
+    entries of the columns are zero, and the padded rows of the product are
+    never scattered back. Every entry of the result belongs to exactly one
+    chain.
 
     At theta = 0 the chains are real, so they are exponentiated in float64;
     the result is float64 when the input is too, and complex128 otherwise.
@@ -502,14 +565,10 @@ def _squeeze_sectors(amplitudes: np.ndarray, params: SqueezedStateParams) -> np.
     dim = amplitudes.shape[0]
     out = np.empty(amplitudes.shape, dtype=np.result_type(amplitudes, type(z)))
     for k0 in range(0, dim, _CHAIN_GROUP):
+        generator = pair_chain_stack(z, dim, k0)
         size = dim - k0  # length of chain k0, the longest in its group
-        k = np.arange(k0, min(k0 + _CHAIN_GROUP, dim))[:, None]
-        j = np.arange(size)
-        inside = j < dim - k  # chain k holds the states j = 0 .. dim - k - 1
-        link = np.where(inside, np.sqrt((k + j) * j), 0.0)[:, 1:]
-        generator = np.zeros((len(k), size, size), dtype=type(z))
-        generator[:, j[1:], j[:-1]] = z * link
-        generator[:, j[:-1], j[1:]] = -np.conj(z) * link
+        k = np.arange(k0, k0 + len(generator))[:, None]
+        inside = np.arange(size) < dim - k  # chain k holds the states j = 0 .. dim - k - 1
         chain, m = np.nonzero(inside)
         n = k0 + chain + m
         columns = np.zeros((len(k), size, 2), dtype=amplitudes.dtype)

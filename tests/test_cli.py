@@ -287,6 +287,16 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_underflowing_order_tail_names_the_order(self, capsys):
+        # 1e-12^(1/0.02) = 1e-600 underflows; the message names the order, not a
+        # tolerance of 0.0 the user never gave
+        code = cli.main(["sweep", "--family", "squeezed", "--oracle", "--grid", "0.5",
+                         "--mu", "0.02"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mek: ") and "order 0.02" in err and "1e-600" in err
+        assert "got 0.0" not in err
+
     def test_unwritable_path(self, tmp_path, capsys):
         code = cli.main(
             ["sweep", "--grid", "0,1", "--mu", "1", "--out", str(tmp_path / "nope" / "x.csv")]

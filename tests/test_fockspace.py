@@ -132,6 +132,51 @@ class TestOperatorExponential:
             with pytest.raises(ValueError, match="non-finite"):
                 operator_exponential(stack)
 
+    def test_cs_route_matches_series(self, monkeypatch):
+        # displacement generators and pair-squeeze chain stacks have the CS form
+        # [[0, A], [-A^H, 0]] in even/odd order and take the SVD route
+        gens = [
+            fockspace.displacement_generator(alpha, dim - 1)
+            for dim in (1, 2, 3, 64, 200)
+            for alpha in (1.3, 0.8 - 1.1j)
+        ]
+        gens += [
+            fockspace.pair_chain_stack(z, 40, k0)
+            for z in (0.6, 0.6 * complex(math.cos(0.9), math.sin(0.9)))
+            for k0 in (0, 8, 32)
+        ]
+        series = [fockspace._taylor_exponential(gen) for gen in gens]
+
+        def no_series(gen):
+            raise AssertionError(f"CS-form generator of shape {gen.shape} took the series")
+
+        monkeypatch.setattr(fockspace, "_taylor_exponential", no_series)
+        for gen, reference in zip(gens, series):
+            out = operator_exponential(gen)
+            assert out.dtype == gen.dtype
+            assert np.max(np.abs(out - reference)) < 1e-13
+
+    def test_non_cs_generators_take_the_series(self):
+        hermitian = np.array([[0.0, 1.0], [1.0, 0.0]])  # bipartite, not anti-Hermitian
+        out = operator_exponential(hermitian)
+        np.testing.assert_array_equal(out, fockspace._taylor_exponential(hermitian))
+        np.testing.assert_allclose(
+            out, [[math.cosh(1), math.sinh(1)], [math.sinh(1), math.cosh(1)]], rtol=1e-14
+        )
+        shifted = fockspace.displacement_generator(0.4 + 0.2j, 9) + 0.3j * np.eye(10)
+        np.testing.assert_array_equal(
+            operator_exponential(shifted), fockspace._taylor_exponential(shifted)
+        )
+
+    def test_output_dtype(self):
+        for gen, dtype in (
+            (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.float64),
+            (np.array([[0.0, 1.0j], [1.0j, 0.0]]), np.complex128),
+            (np.array([[0, 1], [-1, 0]]), np.float64),  # integers, CS form
+            (np.array([[0, 1], [1, 0]]), np.float64),  # integers, series
+        ):
+            assert operator_exponential(gen).dtype == dtype
+
 
 class TestTailBounds:
     def test_squeezed_tail_formula(self):
