@@ -4,18 +4,21 @@ import math
 
 
 def log_cosh(x: float) -> float:
-    """ln(cosh x), safe against overflow for large |x|."""
+    """ln(cosh x) to relative precision, safe against overflow for large |x|."""
     x = abs(x)
     if x < 1.0:
-        return math.log(math.cosh(x))
+        # cosh x = 1 + 2 sinh^2(x/2) keeps the x^2/2 that cosh x rounds away
+        return math.log1p(2.0 * math.sinh(0.5 * x) ** 2)
     # cosh x = e^x (1 + e^{-2x}) / 2
     return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
 
 
 def log_tanh(x: float) -> float:
-    """ln(tanh x) for x > 0; accurate to the last bit even when tanh x rounds to 1."""
+    """ln(tanh x) for x > 0, to relative precision both as x -> 0 and where tanh x rounds to 1."""
     if x <= 0.0:
         raise ValueError("log_tanh requires x > 0")
+    if x < 1.0:
+        return math.log(math.tanh(x))
     t = math.exp(-2.0 * x)
     return math.log1p(-2.0 * t / (1.0 + t))
 

@@ -113,30 +113,36 @@ def sh_overlap_constant(params: SHParams) -> float:
     return math.exp(-2.0 * params.f_dot_f)
 
 
+def _sh_minor_weight(params: SHParams) -> float:
+    """Smaller reduced-state eigenvalue (1 - c)/2 = -expm1(-2 f.f)/2, exact as f.f -> 0."""
+    return -math.expm1(-2.0 * params.f_dot_f) / 2.0
+
+
 def sh_spectrum(params: SHParams, rank_tolerance: float = DEFAULT_RANK_TOL) -> EntanglementSpectrum:
     """Two-level spectrum {(1 + c)/2, (1 - c)/2} with c the branch overlap."""
-    c = sh_overlap_constant(params)
-    return EntanglementSpectrum(
-        np.array([(1.0 + c) / 2.0, (1.0 - c) / 2.0]), rank_tolerance
-    )
+    p_minus = _sh_minor_weight(params)
+    return EntanglementSpectrum(np.array([1.0 - p_minus, p_minus]), rank_tolerance)
 
 
 def renyi_sh(params: SHParams, mu: float) -> float:
-    """Renyi entropy of the qubit reduction of the qubit-boson superposition."""
+    """Renyi entropy of the qubit reduction of the qubit-boson superposition.
+
+    The weights come as p- = -expm1(-2 f.f)/2 and ln p+ = log1p(-p-), so the
+    entropies keep relative precision down to the smallest f.f > 0.
+    """
     mu = _check_order(mu)
-    c = sh_overlap_constant(params)
-    if c == 1.0:
+    if params.f_dot_f == 0.0:
         return 0.0  # rank 1: separable, entropy vanishes at every order
-    p_plus = (1.0 + c) / 2.0
-    p_minus = (1.0 - c) / 2.0
+    p_minus = _sh_minor_weight(params)
+    log_plus = math.log1p(-p_minus)
     if mu == 0.0:
         return math.log(2.0)
     if math.isinf(mu):
-        return math.log(2.0) - math.log1p(c)
+        return -log_plus
     if mu == 1.0:
-        return -xlnx(p_plus) - xlnx(p_minus)
-    log_hi = mu * math.log(p_plus)
-    log_lo = mu * math.log(p_minus) if p_minus > 0.0 else -math.inf
+        return -(1.0 - p_minus) * log_plus - xlnx(p_minus)
+    log_hi = mu * log_plus  # p+ >= 1/2 >= p-, so this term leads
+    log_lo = mu * math.log(p_minus)
     return (log_hi + math.log1p(math.exp(log_lo - log_hi))) / (1.0 - mu)
 
 

@@ -404,18 +404,22 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
 
     # exponentials of anti-Hermitian generators are unitary: the dense random
     # ones take the series, the fixed CS-form ones the oracles build (a complex
-    # displacement and a complex pair-squeeze chain stack) take the SVD route
+    # displacement, a complex pair-squeeze chain stack, and the scaled real
+    # displacement stack of a two-mode displacement) take the SVD route
     gens = []
     for _ in range(3):
         raw = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
         gens.append(raw - raw.conj().T)
     gens.append(fockspace.displacement_generator(1.2 - 0.7j, 199))
     gens.append(fockspace.pair_chain_stack(0.8 * complex(math.cos(1.1), math.sin(1.1)), 60, 0))
+    unitaries = [fockspace.operator_exponential(gen) for gen in gens]
+    unitaries.append(fockspace.operator_exponential(
+        fockspace.displacement_generator(1.0, 199), scales=(0.5, 1.4)
+    ))
     dev = 0.0
-    for gen in gens:
-        unitary = fockspace.operator_exponential(gen)
+    for unitary in unitaries:
         gram = np.conj(unitary).swapaxes(-1, -2) @ unitary
-        dev = max(dev, float(np.max(np.abs(gram - np.eye(gen.shape[-1])))))
+        dev = max(dev, float(np.max(np.abs(gram - np.eye(unitary.shape[-1])))))
     record("exponential-unitarity", dev, 1e-12)
 
     # coherent states are rank one with vanishing entropies

@@ -5,7 +5,10 @@ exponentials, with analytic tail bounds guarding every truncation. The
 generators the builders exponentiate (displacements and pair-squeeze chains)
 couple only indices of opposite parity, and ``operator_exponential`` turns
 such a generator into its exponential through one half-size SVD; any other
-generator takes a scaling-and-squaring Taylor series. The point
+generator takes a scaling-and-squaring Taylor series. Every displacement
+generator alpha a^dag - alpha^* a is the real a^dag - a scaled by |alpha| and
+rotated by the phase of alpha, so a two-mode displacement decomposes
+a^dag - a once and applies the phases entrywise. The point
 of this module is to be dumb and obviously correct: it is the independent
 numerical route against which the closed forms in :mod:`mek.analytic` are
 checked, so it must not share any formula with them.
@@ -171,7 +174,7 @@ def annihilation_matrix(n_max: int) -> np.ndarray:
     return mat
 
 
-def operator_exponential(generator: np.ndarray) -> np.ndarray:
+def operator_exponential(generator: np.ndarray, scales=None) -> np.ndarray:
     """Dense matrix exponential: closed form for CS-form generators, else a series.
 
     Two routes give the same exponential; the generator alone picks one:
@@ -195,10 +198,22 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
     ``(..., n, n)`` is exponentiated matrix by matrix, as in ``np.linalg``; a
     single ``(n, n)`` matrix is the stack of one.
 
+    ``scales``, a 1-D sequence of real finite numbers t, asks for the stack
+    exp(t G), one per t, of shape ``(len(scales), n, n)`` for a single
+    ``(n, n)`` generator. A real t keeps the CS form, and t S are the
+    singular values of t A, so the CS route takes one SVD of A for every t
+    and only the cosines and sines are per t; the series route
+    exponentiates the scaled copies as one stack. Without ``scales`` the
+    result is exp G.
+
     Raises
     ------
     DimensionError
         If the generator is not a square matrix or a stack of them.
+    ValueError
+        If the generator has non-finite entries, or ``scales`` is given and
+        is not a 1-D sequence of real finite numbers, comes with a stack of
+        generators, or scales the generator's entries past the float range.
     NumericalError
         If, on the series route, no series order within the cap meets the
         residual target; the exception carries the residual estimate.
@@ -210,25 +225,47 @@ def operator_exponential(generator: np.ndarray) -> np.ndarray:
         raise ValueError("generator has non-finite entries")
     if gen.dtype.kind in "biu":
         gen = gen.astype(np.float64)
+    if scales is not None:
+        scales = _check_scales(scales, gen)
     upper = gen[..., ::2, 1::2]
     if (
         np.any(gen[..., ::2, ::2])
         or np.any(gen[..., 1::2, 1::2])
         or not np.array_equal(gen[..., 1::2, ::2], -np.conj(upper).swapaxes(-1, -2))
     ):
-        return _taylor_exponential(gen)
+        if scales is None:
+            return _taylor_exponential(gen)
+        return _taylor_exponential(np.multiply.outer(scales, gen))
 
     u, sing, wh = np.linalg.svd(upper)  # u: even x even, wh: odd x odd
+    if scales is not None:
+        sing = np.multiply.outer(scales, sing)  # one row of angles per t
     n_odd = sing.shape[-1]
-    cos = np.ones(u.shape[:-1])
+    cos = np.ones(sing.shape[:-1] + u.shape[-1:])
     cos[..., :n_odd] = np.cos(sing)
     u_odd = u[..., :n_odd]
-    out = np.empty(gen.shape, dtype=gen.dtype)
+    out = np.empty(sing.shape[:-1] + gen.shape[-2:], dtype=gen.dtype)
     out[..., ::2, ::2] = (u * cos[..., None, :]) @ np.conj(u).swapaxes(-1, -2)
     out[..., ::2, 1::2] = (u_odd * np.sin(sing)[..., None, :]) @ wh
     out[..., 1::2, ::2] = -np.conj(out[..., ::2, 1::2]).swapaxes(-1, -2)
     out[..., 1::2, 1::2] = (np.conj(wh).swapaxes(-1, -2) * cos[..., None, :n_odd]) @ wh
     return out
+
+
+def _check_scales(scales, gen: np.ndarray) -> np.ndarray:
+    """``scales`` as a float64 vector; ValueError unless ``operator_exponential`` can take it."""
+    values = np.asarray(scales)
+    if values.ndim != 1 or values.dtype.kind not in "biuf":
+        raise ValueError(f"scales must be a 1-D sequence of real numbers, got {scales!r}")
+    values = values.astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"scales must be finite, got {scales!r}")
+    if gen.ndim != 2:
+        raise ValueError(f"scales need a single generator, got a stack of shape {gen.shape}")
+    largest = float(np.abs(values).max(initial=0.0)) * float(np.abs(gen).max(initial=0.0))
+    if not math.isfinite(largest):
+        raise ValueError("scales times the generator's entries overflow")
+    return values
 
 
 def _taylor_exponential(gen: np.ndarray) -> np.ndarray:
@@ -477,12 +514,43 @@ def _check_boundary_leak(amps: np.ndarray, tail_tol: float, operation: str) -> f
     return leak
 
 
+def _phased(op: np.ndarray, amplitude: complex) -> np.ndarray:
+    """exp(alpha a^dag - alpha^* a) from op = exp(|alpha| (a^dag - a)), alpha = ``amplitude``.
+
+    With alpha = |alpha| e^{i phi} the generator is D |alpha| (a^dag - a) D^*,
+    D = diag(e^{i n phi}), so entry (m, n) of the exponential is
+    e^{i (m - n) phi} op[m, n]. The pattern is read from one table over
+    m - n, so an entry's phase error grows with its distance from the
+    diagonal, where the entries are small. A real alpha has phases +-1 and
+    keeps ``op``'s dtype; alpha >= 0 returns ``op`` itself.
+    """
+    amplitude = _real_if_exact(amplitude)
+    if isinstance(amplitude, float) and amplitude >= 0.0:
+        return op
+    dim = op.shape[-1]
+    lags = np.arange(1 - dim, dim)  # m - n, rising
+    if isinstance(amplitude, float):
+        table = np.where(lags % 2, -1.0, 1.0)
+    else:
+        table = np.exp(1j * math.atan2(amplitude.imag, amplitude.real) * lags)
+    # pattern[m, n] = table[dim - 1 + m - n], a Toeplitz view of the table
+    pattern = np.lib.stride_tricks.sliding_window_view(table[::-1], dim)[::-1]
+    return op * pattern
+
+
 def apply_two_mode_displacement(
     state: ComplexAmplitudeTensor,
     params: DisplacementParams,
     tail_tol: float = 1e-10,
 ) -> ComplexAmplitudeTensor:
     """Displace each mode of a two-mode state by exponentiated ladder generators.
+
+    Both modes share the real generator a^dag - a of their dimension, so a
+    square state takes one ``operator_exponential`` call, one real SVD, for
+    the stack exp(|alpha| (a^dag - a)), exp(|beta| (a^dag - a)); each mode's
+    phase then enters entrywise (``_phased``). A state whose modes differ in
+    dimension takes one call per mode. Real amplitudes give float64
+    operators, complex ones complex128.
 
     The truncated generators are exactly anti-Hermitian, so the norm is
     preserved; contamination from the truncation wall is detected instead as
@@ -491,8 +559,17 @@ def apply_two_mode_displacement(
     if len(state.mode_dims) != 2:
         raise DimensionError(f"expected a two-mode state, got factors {state.mode_dims}")
     dim_a, dim_b = state.mode_dims
-    op_a = operator_exponential(displacement_generator(params.alpha, dim_a - 1))
-    op_b = operator_exponential(displacement_generator(params.beta_b, dim_b - 1))
+    amplitudes = (params.alpha, params.beta_b)
+    if dim_a == dim_b:
+        unphased = operator_exponential(
+            displacement_generator(1.0, dim_a - 1), scales=[abs(amp) for amp in amplitudes]
+        )
+    else:
+        unphased = [
+            operator_exponential(displacement_generator(1.0, dim - 1), scales=[abs(amp)])[0]
+            for dim, amp in zip(state.mode_dims, amplitudes)
+        ]
+    op_a, op_b = (_phased(op, amp) for op, amp in zip(unphased, amplitudes))
     amps = op_a @ state.amplitudes @ op_b.T
     leak = _check_boundary_leak(amps, tail_tol, "displacement")
     tail_mass = max(state.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))

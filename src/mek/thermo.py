@@ -69,7 +69,7 @@ def two_level_model_from_sh(params: SHParams, delta: float = 1.0) -> EffectiveTh
         return EffectiveThermalModel(math.inf, delta, 1.0, 0.0, False)
     beta = -log_tanh(s) / delta
     z = 1.0 + math.tanh(s)
-    free_energy = -math.log(z) / beta
+    free_energy = -math.log1p(math.tanh(s)) / beta
     return EffectiveThermalModel(beta, delta, z, free_energy, False)
 
 

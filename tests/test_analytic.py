@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mek.analytic import (
     squeezed_spectrum,
     von_neumann_limit_check,
 )
+from mek._stable import log_cosh, log_tanh
 from mek.exceptions import ContractError
 from mek.fockspace import SHParams
 from mek.spectra import EntanglementSpectrum
@@ -234,6 +236,52 @@ class TestRenyiSh:
         lo, hi = sorted((mu_lo, mu_hi))
         params = SHParams((math.sqrt(dot),))
         assert renyi_sh(params, lo) >= renyi_sh(params, hi) - 1e-12
+
+
+def rel_close(value, reference, rel=1e-13):
+    """Relative agreement; below the normal range only the spacing of subnormals is resolved."""
+    return math.isclose(value, reference, rel_tol=rel, abs_tol=sys.float_info.min)
+
+
+def log_uniform(low_exp, high_exp):
+    return st.floats(min_value=low_exp, max_value=high_exp).map(lambda e: 10.0 ** e)
+
+
+class TestSmallParameters:
+    """The closed forms keep relative precision as r and f.f approach 0."""
+
+    def test_log_tanh_and_log_cosh(self):
+        for x in (1e-300, 1e-12, 1e-8, 0.3, 0.999):
+            assert rel_close(log_tanh(x), math.log(math.tanh(x)), 1e-15)
+            # ln cosh x = log1p(2 sinh^2(x/2)), the x^2/2 head resolved
+            assert rel_close(log_cosh(x), math.log1p(math.expm1(x) * -math.expm1(-x) / 2.0))
+        assert log_cosh(1e-8) == pytest.approx(5e-17, rel=1e-15)
+
+    def test_squeezed_order_two_at_tiny_r(self):
+        # exp(-2 r) and cosh r both round to 1 here; S_2 = ln cosh 2r ~ 2 r^2
+        assert rel_close(renyi_squeezed(1e-8, 2.0), 2e-16)
+        assert renyi_squeezed(1e-300, 2.0) == 0.0  # 2e-600 is below the double range
+
+    def test_sh_von_neumann_at_tiny_overlap_defect(self):
+        params = SHParams((math.sqrt(1e-15),))
+        p_lo = -math.expm1(-2.0 * params.f_dot_f) / 2.0
+        reference = -(1.0 - p_lo) * math.log1p(-p_lo) - p_lo * math.log(p_lo)
+        assert rel_close(renyi_sh(params, 1.0), reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=log_uniform(-300.0, 0.0), dot=log_uniform(-300.0, 0.0))
+    def test_non_negative_monotone_and_s2_exact(self, r, dot):
+        # orders near 1 need their own series branch; these keep clear of it
+        orders = (0.5, 2.0, 5.0, math.inf)
+        params = SHParams((math.sqrt(dot),))
+        for entropy in (lambda mu: renyi_squeezed(r, mu), lambda mu: renyi_sh(params, mu)):
+            values = [entropy(mu) for mu in orders]
+            assert all(v >= 0.0 for v in values)
+            assert all(a >= b for a, b in zip(values, values[1:]))
+        assert rel_close(renyi_squeezed(r, 2.0), math.log1p(2.0 * math.sinh(r) ** 2))
+        # sum p^2 = 1 - 2 p+ p-, and p+ p- = (1 - c^2) / 4 = -expm1(-4 f.f) / 4
+        reference = -math.log1p(math.expm1(-4.0 * params.f_dot_f) / 2.0)
+        assert rel_close(renyi_sh(params, 2.0), reference)
 
 
 class TestRenyiGeneral:

@@ -258,6 +258,17 @@ class TestMainEntry:
         assert payload["columns"] == list(SWEEP_HEADER)
         assert len(payload["rows"]) == 2
 
+    @pytest.mark.parametrize("family", cli.FAMILIES)
+    def test_tiny_parameters_give_finite_entropies(self, family, tmp_path):
+        out = tmp_path / "tiny.json"
+        args = ["sweep", "--family", family, "--grid", "1e-300,1e-160,1e-8",
+                "--mu", "0.5,1,2,inf", "--format", "json", "--out", str(out)]
+        assert cli.main(args) == 0
+        payload = json.loads(out.read_text())
+        for entropies in payload["rows"]:
+            for column in ("S_mu", "S_vn", "S_2", "S_inf"):
+                assert math.isfinite(entropies[column]) and entropies[column] >= 0.0
+
     def test_thermo_table_inf_row(self, tmp_path):
         out = tmp_path / "table.csv"
         code = cli.main(

@@ -178,6 +178,35 @@ class TestOperatorExponential:
             assert operator_exponential(gen).dtype == dtype
 
 
+    def test_scales_give_one_exponential_per_t(self):
+        # CS form: one SVD of the half block serves every t; series: one stack
+        rng = np.random.default_rng(5)
+        raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        for gen in (
+            fockspace.displacement_generator(1.0, 40),
+            fockspace.displacement_generator(0.3 - 0.8j, 17),
+            raw - raw.conj().T,
+        ):
+            scales = (0.0, 0.5, -1.3, 2)
+            out = operator_exponential(gen, scales=scales)
+            assert out.shape == (len(scales),) + gen.shape and out.dtype == gen.dtype
+            for t, member in zip(scales, out):
+                assert np.max(np.abs(member - operator_exponential(t * gen))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "scales",
+        [(0.5, math.nan), (math.inf,), (0.5j,), (0.5 + 0j,), [[0.5]], 0.5, ("a",), (1e308,)],
+    )
+    def test_rejects_bad_scales(self, scales):
+        with pytest.raises(ValueError):
+            operator_exponential(fockspace.displacement_generator(2.0, 9), scales=scales)
+
+    def test_rejects_scales_with_a_stack(self):
+        stack = fockspace.pair_chain_stack(0.4, 12, 0)
+        with pytest.raises(ValueError, match="stack"):
+            operator_exponential(stack, scales=(1.0,))
+
+
 class TestTailBounds:
     def test_squeezed_tail_formula(self):
         r = 0.7
@@ -341,6 +370,62 @@ class TestDisplacement:
         sh = build_silbey_harris(SHParams((0.2, 0.1)), FockCutoff(8))
         with pytest.raises(DimensionError):
             apply_two_mode_displacement(sh, DisplacementParams(0.1, 0.0))
+
+
+class TestDisplacementRoute:
+    """One real SVD per mode dimension, then each amplitude's phase entrywise."""
+
+    AMPLITUDES = (0.5, -0.7, 1.2 - 0.7j, 0.4j, 0.0)
+
+    @staticmethod
+    def per_mode_series(state, params):
+        op_a, op_b = (
+            fockspace._taylor_exponential(fockspace.displacement_generator(amp, dim - 1))
+            for amp, dim in zip((params.alpha, params.beta_b), state.mode_dims)
+        )
+        return op_a @ state.amplitudes @ op_b.T
+
+    @pytest.mark.parametrize("dim", [3, 64, 200])
+    def test_matches_per_mode_series(self, dim):
+        # a real state whose weight reaches every level, so every entry of
+        # both operators counts; the boundary-leak check is off
+        rng = np.random.default_rng(dim)
+        amps = rng.normal(size=(dim, dim))
+        state = ComplexAmplitudeTensor(amps / np.linalg.norm(amps), (dim, dim), 0.0)
+        for alpha in self.AMPLITUDES:
+            for beta in self.AMPLITUDES:
+                params = DisplacementParams(alpha, beta)
+                out = apply_two_mode_displacement(state, params, tail_tol=math.inf)
+                real = complex(alpha).imag == 0.0 and complex(beta).imag == 0.0
+                assert out.amplitudes.dtype == (np.float64 if real else np.complex128)
+                reference = self.per_mode_series(state, params)
+                assert np.max(np.abs(out.amplitudes - reference)) < 1e-13
+
+    def test_unequal_mode_dimensions(self):
+        rng = np.random.default_rng(2)
+        amps = rng.normal(size=(17, 30)) + 1j * rng.normal(size=(17, 30))
+        state = ComplexAmplitudeTensor(amps / np.linalg.norm(amps), (17, 30), 0.0)
+        for params in (DisplacementParams(0.6, -0.4), DisplacementParams(0.3j, 0.9 - 0.2j)):
+            out = apply_two_mode_displacement(state, params, tail_tol=math.inf)
+            assert np.max(np.abs(out.amplitudes - self.per_mode_series(state, params))) < 1e-13
+
+    def test_one_exponential_per_square_state(self, monkeypatch):
+        calls = []
+        original = fockspace.operator_exponential
+
+        def counting(generator, scales=None):
+            calls.append((np.shape(generator), None if scales is None else len(scales)))
+            return original(generator, scales=scales)
+
+        monkeypatch.setattr(fockspace, "operator_exponential", counting)
+        state = build_squeezed_vacuum(SqueezedStateParams(0.8), FockCutoff(50))
+        for params in (DisplacementParams(0.5, 0.3), DisplacementParams(1.2 - 0.7j, 0.0)):
+            calls.clear()
+            apply_two_mode_displacement(state, params)
+            assert calls == [((51, 51), 2)]
+        calls.clear()
+        cli.build_displaced_squeezed(1.0, cli.SWEEP_DISPLACEMENT)
+        assert len(calls) == 1
 
 
 class TestSqueezedCoherent:

@@ -116,6 +116,16 @@ class TestTwoLevelModel:
         with pytest.raises(ValueError):
             two_level_model_from_sh(SHParams((0.5,)), 0.0)
 
+    def test_free_energy_keeps_relative_precision_at_tiny_dot(self):
+        # ln Z = ln(1 + tanh s) = s - ln cosh s and beta = -ln tanh s; a Z
+        # rounded to 1 would give F = 0 here
+        for dot in (1e-300, 1e-20, 1e-8):
+            params = SHParams((math.sqrt(dot),))
+            s = params.f_dot_f
+            reference = (s - s * s / 2.0) / math.log(s)  # dropped terms are O(s^2) relative
+            model = two_level_model_from_sh(params)
+            assert math.isclose(model.free_energy, reference, rel_tol=1e-14)
+
 
 class TestMaterializedLevels:
     def test_harmonic_ladder_extends(self):
