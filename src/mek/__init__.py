@@ -21,7 +21,6 @@ from .exceptions import (
     ContractError,
     DimensionError,
     MemoryBudgetError,
-    NumericalError,
     TailMassError,
 )
 from .fockspace import (

@@ -31,9 +31,3 @@ def log1mexp(x: float) -> float:
         return math.log(-math.expm1(x))
     return math.log1p(-math.exp(x))
 
-
-def xlnx(x: float) -> float:
-    """x ln x extended continuously by 0 at x = 0."""
-    if x < 0.0:
-        raise ValueError("xlnx requires x >= 0")
-    return x * math.log(x) if x > 0.0 else 0.0

@@ -18,13 +18,5 @@ class MemoryBudgetError(RuntimeError):
     """Oracle over MEK_MEM_BUDGET: dim^2 or 2 dim^n entries, or pair-squeeze work sum g L^3."""
 
 
-class NumericalError(RuntimeError):
-    """An iterative kernel failed to converge; carries the residual estimate."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ContractError(ValueError):
     """Input violates a documented numerical contract (hermiticity, normalization, ...)."""

@@ -4,11 +4,10 @@ States are dense coefficient arrays built from raw ladder matrices and matrix
 exponentials, with analytic tail bounds guarding every truncation. The
 generators the builders exponentiate (displacements and pair-squeeze chains)
 couple only indices of opposite parity, and ``operator_exponential`` turns
-such a generator into its exponential through one half-size SVD; any other
-generator takes a scaling-and-squaring Taylor series. Every displacement
-generator alpha a^dag - alpha^* a is the real a^dag - a scaled by |alpha| and
-rotated by the phase of alpha, so a two-mode displacement decomposes
-a^dag - a once and applies the phases entrywise. The point
+such a generator into its exponential through one half-size SVD. Every
+displacement generator alpha a^dag - alpha^* a is the real a^dag - a scaled
+by |alpha| and rotated by the phase of alpha, so a two-mode displacement
+decomposes a^dag - a once and applies the phases entrywise. The point
 of this module is to be dumb and obviously correct: it is the independent
 numerical route against which the closed forms in :mod:`mek.analytic` are
 checked, so it must not share any formula with them.
@@ -27,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stable import log_tanh
-from .exceptions import DimensionError, MemoryBudgetError, NumericalError, TailMassError
+from .exceptions import ContractError, DimensionError, MemoryBudgetError, TailMassError
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MEM_BUDGET = 2 ** 28  # state entries or pair-squeeze work, not bytes
-_SERIES_MAX_ORDER = 40
 _CHAIN_GROUP = 8  # pair-squeeze chains per operator_exponential call
 
 
@@ -175,48 +173,40 @@ def annihilation_matrix(n_max: int) -> np.ndarray:
 
 
 def operator_exponential(generator: np.ndarray, scales=None) -> np.ndarray:
-    """Dense matrix exponential: closed form for CS-form generators, else a series.
+    """Dense exponential of a CS-form generator, in closed form from one half-size SVD.
 
-    Two routes give the same exponential; the generator alone picks one:
+    The generator must have the CS form: in even/odd index order it reads
+    G = [[0, A], [-A^H, 0]], so the even-even and odd-odd blocks are exactly
+    zero and ``gen[..., 1::2, ::2]`` equals -A^H exactly, with
+    A = ``gen[..., ::2, 1::2]``. Such a G is anti-Hermitian and couples only
+    indices of opposite parity, as the displacement generator
+    alpha a^dag - alpha^* a and the pair-squeeze chains do. One SVD
+    A = U S W^H then gives exp G = [[U cos S U^H, U sin S W^H],
+    [-W sin S U^H, W cos S W^H]] exactly, with cos S padded with 1 on the
+    longer (even) side; the result is unitary at the 1e-14 level.
 
-    - **CS form.** In even/odd index order the generator reads
-      G = [[0, A], [-A^H, 0]]: the even-even and odd-odd blocks are exactly
-      zero and ``gen[..., 1::2, ::2]`` equals -A^H exactly, with
-      A = ``gen[..., ::2, 1::2]``. Such a G is anti-Hermitian and couples
-      only indices of opposite parity, as the displacement generator
-      alpha a^dag - alpha^* a and the pair-squeeze chains do. One half-size
-      SVD A = U S W^H then gives exp G = [[U cos S U^H, U sin S W^H],
-      [-W sin S U^H, W cos S W^H]] exactly, with cos S padded with 1 on the
-      longer (even) side. A stack takes this route only if every member has
-      the form.
-    - **Series**, for every other generator: scaling and squaring a
-      truncated Taylor series (see ``_taylor_exponential``).
-
-    Anti-Hermitian generators map to matrices that are unitary at the 1e-12
-    level. The result has the generator's dtype (integers give float64), so a
-    real generator runs in real arithmetic throughout. A stack of shape
+    The result has the generator's dtype (integers give float64), so a real
+    generator runs in real arithmetic throughout. A stack of shape
     ``(..., n, n)`` is exponentiated matrix by matrix, as in ``np.linalg``; a
     single ``(n, n)`` matrix is the stack of one.
 
     ``scales``, a 1-D sequence of real finite numbers t, asks for the stack
     exp(t G), one per t, of shape ``(len(scales), n, n)`` for a single
     ``(n, n)`` generator. A real t keeps the CS form, and t S are the
-    singular values of t A, so the CS route takes one SVD of A for every t
-    and only the cosines and sines are per t; the series route
-    exponentiates the scaled copies as one stack. Without ``scales`` the
-    result is exp G.
+    singular values of t A, so one SVD of A serves every t and only the
+    cosines and sines are per t. Without ``scales`` the result is exp G.
 
     Raises
     ------
     DimensionError
         If the generator is not a square matrix or a stack of them.
+    ContractError
+        If the generator, or any member of a stack, is not in CS form; the
+        message names the block that breaks it.
     ValueError
         If the generator has non-finite entries, or ``scales`` is given and
         is not a 1-D sequence of real finite numbers, comes with a stack of
         generators, or scales the generator's entries past the float range.
-    NumericalError
-        If, on the series route, no series order within the cap meets the
-        residual target; the exception carries the residual estimate.
     """
     gen = np.asarray(generator)
     if gen.ndim < 2 or gen.shape[-1] != gen.shape[-2]:
@@ -228,14 +218,16 @@ def operator_exponential(generator: np.ndarray, scales=None) -> np.ndarray:
     if scales is not None:
         scales = _check_scales(scales, gen)
     upper = gen[..., ::2, 1::2]
-    if (
-        np.any(gen[..., ::2, ::2])
-        or np.any(gen[..., 1::2, 1::2])
-        or not np.array_equal(gen[..., 1::2, ::2], -np.conj(upper).swapaxes(-1, -2))
+    for block, broken in (
+        ("even-even block is nonzero", np.any(gen[..., ::2, ::2])),
+        ("odd-odd block is nonzero", np.any(gen[..., 1::2, 1::2])),
+        (
+            "odd-even block is not minus the conjugate transpose of the even-odd block",
+            not np.array_equal(gen[..., 1::2, ::2], -np.conj(upper).swapaxes(-1, -2)),
+        ),
     ):
-        if scales is None:
-            return _taylor_exponential(gen)
-        return _taylor_exponential(np.multiply.outer(scales, gen))
+        if broken:
+            raise ContractError(f"generator is not in CS form [[0, A], [-A^H, 0]]: its {block}")
 
     u, sing, wh = np.linalg.svd(upper)  # u: even x even, wh: odd x odd
     if scales is not None:
@@ -266,64 +258,6 @@ def _check_scales(scales, gen: np.ndarray) -> np.ndarray:
     if not math.isfinite(largest):
         raise ValueError("scales times the generator's entries overflow")
     return values
-
-
-def _taylor_exponential(gen: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring a truncated Taylor series.
-
-    The generator is scaled so its 1-norm drops below 1, the series order is
-    chosen so the first neglected term (the residual, i.e. the difference to
-    the next-order partial sum) is below 5e-18, and the polynomial is
-    evaluated blockwise (Paterson-Stockmeyer) to keep the matmul count small.
-    The largest 1-norm in a stack sets one squaring count and one series
-    degree for all of it, so every member meets the residual target.
-    ``gen`` is a square matrix or a stack of them with finite entries.
-    """
-    # the 1-norm (largest column sum) of every member, maximised over the stack
-    norm = float(np.add.reduce(np.abs(gen), axis=-2).max()) if gen.size else 0.0
-    squarings = int(max(0, math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    # C order whatever the generator's layout: the series adds ``scaled`` to
-    # matmul products, which are C-ordered, and mixed layouts run strided
-    scaled = np.divide(gen, 2.0 ** squarings, order="C")
-    scaled_norm = norm / (2.0 ** squarings)
-
-    # smallest degree whose next term a^(m+1)/(m+1)! is negligible
-    degree = 1
-    residual = scaled_norm * scaled_norm / 2.0
-    while residual > 5e-18 and degree < _SERIES_MAX_ORDER:
-        degree += 1
-        residual *= scaled_norm / (degree + 1)
-    if residual > 5e-18:
-        raise NumericalError(
-            f"exponential series residual {residual:.3e} at the order cap "
-            f"{_SERIES_MAX_ORDER}",
-            residual=residual,
-        )
-
-    diag = np.arange(scaled.shape[-1])
-    block = max(1, math.isqrt(degree + 1))
-    n_blocks = degree // block + 1
-    coeffs = [1.0] * (n_blocks * block)
-    for i in range(1, len(coeffs)):
-        coeffs[i] = coeffs[i - 1] / i
-    powers = [None, scaled]  # powers[i] = scaled^i for i = 1 .. block
-    for i in range(2, block + 1):
-        powers.append(powers[-1] @ scaled)
-
-    def block_sum(j: int) -> np.ndarray:
-        out = coeffs[j * block + 1] * powers[1] if block > 1 else np.zeros_like(scaled)
-        for i in range(2, block):
-            out += coeffs[j * block + i] * powers[i]
-        out[..., diag, diag] += coeffs[j * block]
-        return out
-
-    total = block_sum(n_blocks - 1)
-    for j in range(n_blocks - 2, -1, -1):
-        total = total @ powers[block]
-        total += block_sum(j)
-    for _ in range(squarings):
-        total = total @ total
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,12 @@ def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDen
         unfolded = np.ascontiguousarray(unfolded)
         rho = unfolded @ unfolded.conj().T
 
+    # written as "not defect < tol" so that a NaN defect fails the check
     herm_defect = _hermiticity_defect(rho, diagonal_only)
-    if herm_defect >= HERMITICITY_TOL:
+    if not herm_defect < HERMITICITY_TOL:
         raise ContractError(f"reduced matrix is not Hermitian: defect {herm_defect:.3e}")
     trace_defect = abs(1.0 - float(np.trace(rho).real))
-    if trace_defect >= TRACE_TOL:
+    if not trace_defect < TRACE_TOL:
         raise ContractError(
             f"reduced matrix trace deviates from 1 by {trace_defect:.3e}; "
             "was the input state normalized?"

@@ -271,7 +271,7 @@ class TestSmallParameters:
     @settings(max_examples=300, deadline=None)
     @given(r=log_uniform(-300.0, 0.0), dot=log_uniform(-300.0, 0.0))
     def test_non_negative_monotone_and_s2_exact(self, r, dot):
-        # orders near 1 need their own series branch; these keep clear of it
+        # orders near 1 take the expansion about S_1 (TestOrdersNearOne)
         orders = (0.5, 2.0, 5.0, math.inf)
         params = SHParams((math.sqrt(dot),))
         for entropy in (lambda mu: renyi_squeezed(r, mu), lambda mu: renyi_sh(params, mu)):
@@ -282,6 +282,42 @@ class TestSmallParameters:
         # sum p^2 = 1 - 2 p+ p-, and p+ p- = (1 - c^2) / 4 = -expm1(-4 f.f) / 4
         reference = -math.log1p(math.expm1(-4.0 * params.f_dot_f) / 2.0)
         assert rel_close(renyi_sh(params, 2.0), reference)
+
+
+class TestOrdersNearOne:
+    """Within |mu - 1| < 1e-5 the entropies take S_1 - (mu - 1) Var(-ln p) / 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=log_uniform(-300.0, 1.5),
+        dot=log_uniform(-300.0, 1.5),
+        orders=st.lists(st.floats(min_value=1.0 - 1e-6, max_value=1.0 + 1e-6),
+                        min_size=2, max_size=2),
+    )
+    def test_monotone_in_the_order(self, r, dot, orders):
+        lo, hi = sorted(orders)
+        params = SHParams((math.sqrt(dot),))
+        assert renyi_squeezed(r, lo) >= renyi_squeezed(r, hi)
+        assert renyi_sh(params, lo) >= renyi_sh(params, hi)
+
+    @pytest.mark.parametrize("eps", [1e-13, -1e-13, 1e-7, -4e-6])
+    def test_slope_is_half_the_variance(self, eps):
+        # d S_mu / d mu at mu = 1 is -Var(-ln p) / 2; the truncated spectrum
+        # of r = 1 and the closed forms must agree on it
+        r = 1.0
+        probs = squeezed_spectrum(r, np.arange(400))
+        logs = np.log(probs)
+        s1 = -float(np.sum(probs * logs))
+        var = float(np.sum(probs * (logs + s1) ** 2))
+        expected = S_VN_R1 - eps * var / 2.0
+        assert renyi_squeezed(r, 1.0 + eps) == pytest.approx(expected, abs=1e-15)
+        spectrum = EntanglementSpectrum(probs, 0.0)
+        assert renyi_general(spectrum, 1.0 + eps) == pytest.approx(expected, abs=1e-13)
+        params = SHParams((0.5, 0.3))
+        p_minus = -math.expm1(-2.0 * params.f_dot_f) / 2.0
+        two = EntanglementSpectrum(np.array([1.0 - p_minus, p_minus]), 0.0)
+        assert renyi_sh(params, 1.0 + eps) == pytest.approx(renyi_general(two, 1.0 + eps),
+                                                            abs=1e-15)
 
 
 class TestRenyiGeneral:
@@ -324,6 +360,12 @@ class TestRenyiGeneral:
         spectrum = EntanglementSpectrum(np.array([0.5, 0.4]))
         with pytest.raises(ContractError):
             renyi_general(spectrum, 2.0)
+
+    def test_nan_spectrum_rejected(self):
+        spectrum = EntanglementSpectrum(np.array([math.nan, 1.0]), 0.0)
+        for mu in (0.5, 1.0, 2.0, math.inf):
+            with pytest.raises(ContractError, match="not normalized"):
+                renyi_general(spectrum, mu)
 
 
 @pytest.mark.parametrize("entropy", [

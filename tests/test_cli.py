@@ -308,6 +308,16 @@ class TestMainEntry:
         assert err.startswith("mek: ") and "order 0.02" in err and "1e-600" in err
         assert "got 0.0" not in err
 
+    @pytest.mark.parametrize("family, grid", [("squeezed", "1"), ("silbey-harris", "0.5")])
+    def test_orders_near_one_pass_the_oracle_gate(self, family, grid, capsys):
+        # the direct formulas divide a near-cancellation by mu - 1 (the oracle gave
+        # -7.0 and 10.2 here); the expansion about S_1 keeps both routes in the gate
+        code = cli.main(["sweep", "--family", family, "--oracle", "--grid", grid,
+                         "--mu", "0.9999999999999,1,1.0000000000001"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert all(float(row.split(",")[-1]) < cli.ORACLE_DEV_LIMIT for row in rows)
+
     def test_unwritable_path(self, tmp_path, capsys):
         code = cli.main(
             ["sweep", "--grid", "0,1", "--mu", "1", "--out", str(tmp_path / "nope" / "x.csv")]

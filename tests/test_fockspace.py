@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mek import analytic, cli, fockspace, spectra
-from mek.exceptions import DimensionError, MemoryBudgetError, TailMassError
+from mek.exceptions import ContractError, DimensionError, MemoryBudgetError, TailMassError
 from mek.fockspace import (
     ComplexAmplitudeTensor,
     DisplacementParams,
@@ -48,13 +48,37 @@ def test_ladder_commutator():
     np.testing.assert_allclose(np.diag(comm)[:-1].real, 1.0, atol=1e-14)
 
 
+def eigh_exponential(gen):
+    """Reference exp G for an anti-Hermitian G (or a stack): V e^{iw} V^H from eigh(-iG)."""
+    w, v = np.linalg.eigh(-1j * gen)
+    return (v * np.exp(1j * w)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+
+
+def random_cs_generator(rng, dim, complex_entries):
+    """Random G = [[0, A], [-A^H, 0]] in even/odd index order, real or complex."""
+    half = rng.normal(size=((dim + 1) // 2, dim // 2))
+    if complex_entries:
+        half = half + 1j * rng.normal(size=half.shape)
+    gen = np.zeros((dim, dim), dtype=half.dtype)
+    gen[::2, 1::2] = half
+    gen[1::2, ::2] = -np.conj(half).T
+    return gen
+
+
+# odd sizes pad cos S with 1 on the even side
+CS_CASES = [(dim, complex_entries) for dim in (1, 2, 17, 48) for complex_entries in (False, True)]
+
+
 class TestOperatorExponential:
     def test_zero_generator(self):
         np.testing.assert_array_equal(operator_exponential(np.zeros((4, 4))), np.eye(4))
 
     def test_diagonal_phase(self):
-        gen = 1j * math.pi * np.diag([1.0, -1.0])
-        np.testing.assert_allclose(operator_exponential(gen), -np.eye(2), atol=1e-14)
+        # a diagonal generator couples indices of equal parity: not CS form
+        with pytest.raises(ContractError, match="even-even block"):
+            operator_exponential(1j * math.pi * np.diag([1.0, -1.0]))
+        with pytest.raises(ContractError, match="odd-odd block"):
+            operator_exponential(1j * np.diag([0.0, 1.0]))
 
     def test_matches_coherent_series(self):
         # column 0 of exp(alpha a^dag - alpha^* a) is the coherent expansion
@@ -65,10 +89,8 @@ class TestOperatorExponential:
 
     def test_unitary_for_anti_hermitian(self):
         rng = np.random.default_rng(7)
-        for dim in (2, 17, 48):
-            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            gen = raw - raw.conj().T
-            u = operator_exponential(gen)
+        for dim, complex_entries in CS_CASES:
+            u = operator_exponential(random_cs_generator(rng, dim, complex_entries))
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
 
     def test_real_generator_stays_real(self):
@@ -81,11 +103,11 @@ class TestOperatorExponential:
 
     def test_group_property(self):
         rng = np.random.default_rng(3)
-        gen = rng.normal(size=(9, 9))
-        gen = gen - gen.T
-        whole = operator_exponential(gen)
-        half = operator_exponential(gen / 2.0)
-        np.testing.assert_allclose(half @ half, whole, atol=1e-13)
+        for dim, complex_entries in CS_CASES:
+            gen = random_cs_generator(rng, dim, complex_entries)
+            whole = operator_exponential(gen)
+            half = operator_exponential(gen / 2.0)
+            np.testing.assert_allclose(half @ half, whole, atol=1e-13)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
@@ -98,23 +120,22 @@ class TestOperatorExponential:
             operator_exponential(bad)
 
     def test_padded_stack_matches_single_calls(self):
-        # members of different sizes and norms share one squaring count and degree
-        rng = np.random.default_rng(11)
-        sizes, scales = (3, 7, 12, 1), (0.02, 0.3, 0.6, 0.0)  # 1-norms 0.15 to 16
-        pad = max(sizes)
-        stack = np.zeros((len(sizes), pad, pad), dtype=complex)
-        for i, (size, scale) in enumerate(zip(sizes, scales)):
-            raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-            stack[i, :size, :size] = scale * (raw - raw.conj().T)
-        out = operator_exponential(stack)
-        assert out.shape == stack.shape and out.dtype == complex
-        for i, size in enumerate(sizes):
-            single = operator_exponential(stack[i, :size, :size])
-            assert np.max(np.abs(out[i, :size, :size] - single)) < 1e-14
-            # exp(blockdiag(G, 0)) = blockdiag(exp G, I), exactly
-            np.testing.assert_array_equal(out[i, size:, size:], np.eye(pad - size))
-            assert np.count_nonzero(out[i, :size, size:]) == 0
-            assert np.count_nonzero(out[i, size:, :size]) == 0
+        # a pair-squeeze chain group is padded to its longest chain, k0
+        dim = 40
+        for z in (0.6, 0.6 * complex(math.cos(0.9), math.sin(0.9))):
+            for k0 in (0, 8, 32, 39):
+                stack = fockspace.pair_chain_stack(z, dim, k0)
+                pad = dim - k0
+                out = operator_exponential(stack)
+                assert out.shape == stack.shape and out.dtype == stack.dtype
+                for i, k in enumerate(range(k0, k0 + len(stack))):
+                    size = dim - k
+                    single = operator_exponential(stack[i, :size, :size])
+                    assert np.max(np.abs(out[i, :size, :size] - single)) < 1e-14
+                    # exp(blockdiag(G, 0)) = blockdiag(exp G, I), exactly
+                    np.testing.assert_array_equal(out[i, size:, size:], np.eye(pad - size))
+                    assert np.count_nonzero(out[i, :size, size:]) == 0
+                    assert np.count_nonzero(out[i, size:, :size]) == 0
 
     def test_stack_shape_checked(self):
         np.testing.assert_array_equal(
@@ -132,9 +153,9 @@ class TestOperatorExponential:
             with pytest.raises(ValueError, match="non-finite"):
                 operator_exponential(stack)
 
-    def test_cs_route_matches_series(self, monkeypatch):
-        # displacement generators and pair-squeeze chain stacks have the CS form
-        # [[0, A], [-A^H, 0]] in even/odd order and take the SVD route
+    def test_cs_route_matches_series(self):
+        # displacement generators and pair-squeeze chain stacks, against an
+        # eigendecomposition of the Hermitian -iG
         gens = [
             fockspace.displacement_generator(alpha, dim - 1)
             for dim in (1, 2, 3, 64, 200)
@@ -145,48 +166,45 @@ class TestOperatorExponential:
             for z in (0.6, 0.6 * complex(math.cos(0.9), math.sin(0.9)))
             for k0 in (0, 8, 32)
         ]
-        series = [fockspace._taylor_exponential(gen) for gen in gens]
-
-        def no_series(gen):
-            raise AssertionError(f"CS-form generator of shape {gen.shape} took the series")
-
-        monkeypatch.setattr(fockspace, "_taylor_exponential", no_series)
-        for gen, reference in zip(gens, series):
+        for gen in gens:
             out = operator_exponential(gen)
             assert out.dtype == gen.dtype
-            assert np.max(np.abs(out - reference)) < 1e-13
+            assert np.max(np.abs(out - eigh_exponential(gen))) < 1e-13
 
-    def test_non_cs_generators_take_the_series(self):
-        hermitian = np.array([[0.0, 1.0], [1.0, 0.0]])  # bipartite, not anti-Hermitian
-        out = operator_exponential(hermitian)
-        np.testing.assert_array_equal(out, fockspace._taylor_exponential(hermitian))
-        np.testing.assert_allclose(
-            out, [[math.cosh(1), math.sinh(1)], [math.sinh(1), math.cosh(1)]], rtol=1e-14
-        )
-        shifted = fockspace.displacement_generator(0.4 + 0.2j, 9) + 0.3j * np.eye(10)
-        np.testing.assert_array_equal(
-            operator_exponential(shifted), fockspace._taylor_exponential(shifted)
-        )
+    def test_non_cs_generators_are_rejected(self):
+        rng = np.random.default_rng(13)
+        raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        stack = fockspace.pair_chain_stack(0.4, 12, 0)
+        stack[3, 2, 2] = 0.1
+        for gen, block in (
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), "odd-even"),  # bipartite, not anti-Hermitian
+            (np.array([[0, 1], [1, 0]]), "odd-even"),  # integers
+            (fockspace.displacement_generator(0.4 + 0.2j, 9) + 0.3j * np.eye(10), "even-even"),
+            (raw - raw.conj().T, "even-even"),  # dense anti-Hermitian
+            (stack, "even-even"),  # one broken member spoils the stack
+        ):
+            with pytest.raises(ContractError, match=f"not in CS form.*{block} block"):
+                operator_exponential(gen)
+        with pytest.raises(ContractError):
+            operator_exponential(raw - raw.conj().T, scales=(0.5, 1.0))
 
     def test_output_dtype(self):
         for gen, dtype in (
             (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.float64),
             (np.array([[0.0, 1.0j], [1.0j, 0.0]]), np.complex128),
             (np.array([[0, 1], [-1, 0]]), np.float64),  # integers, CS form
-            (np.array([[0, 1], [1, 0]]), np.float64),  # integers, series
         ):
             assert operator_exponential(gen).dtype == dtype
 
-
     def test_scales_give_one_exponential_per_t(self):
-        # CS form: one SVD of the half block serves every t; series: one stack
+        # one SVD of the half block serves every t
         rng = np.random.default_rng(5)
-        raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        for gen in (
+        gens = [
             fockspace.displacement_generator(1.0, 40),
             fockspace.displacement_generator(0.3 - 0.8j, 17),
-            raw - raw.conj().T,
-        ):
+        ]
+        gens += [random_cs_generator(rng, dim, complex_entries) for dim, complex_entries in CS_CASES]
+        for gen in gens:
             scales = (0.0, 0.5, -1.3, 2)
             out = operator_exponential(gen, scales=scales)
             assert out.shape == (len(scales),) + gen.shape and out.dtype == gen.dtype
@@ -378,9 +396,9 @@ class TestDisplacementRoute:
     AMPLITUDES = (0.5, -0.7, 1.2 - 0.7j, 0.4j, 0.0)
 
     @staticmethod
-    def per_mode_series(state, params):
+    def per_mode_eigh(state, params):
         op_a, op_b = (
-            fockspace._taylor_exponential(fockspace.displacement_generator(amp, dim - 1))
+            eigh_exponential(fockspace.displacement_generator(amp, dim - 1))
             for amp, dim in zip((params.alpha, params.beta_b), state.mode_dims)
         )
         return op_a @ state.amplitudes @ op_b.T
@@ -398,7 +416,7 @@ class TestDisplacementRoute:
                 out = apply_two_mode_displacement(state, params, tail_tol=math.inf)
                 real = complex(alpha).imag == 0.0 and complex(beta).imag == 0.0
                 assert out.amplitudes.dtype == (np.float64 if real else np.complex128)
-                reference = self.per_mode_series(state, params)
+                reference = self.per_mode_eigh(state, params)
                 assert np.max(np.abs(out.amplitudes - reference)) < 1e-13
 
     def test_unequal_mode_dimensions(self):
@@ -407,7 +425,7 @@ class TestDisplacementRoute:
         state = ComplexAmplitudeTensor(amps / np.linalg.norm(amps), (17, 30), 0.0)
         for params in (DisplacementParams(0.6, -0.4), DisplacementParams(0.3j, 0.9 - 0.2j)):
             out = apply_two_mode_displacement(state, params, tail_tol=math.inf)
-            assert np.max(np.abs(out.amplitudes - self.per_mode_series(state, params))) < 1e-13
+            assert np.max(np.abs(out.amplitudes - self.per_mode_eigh(state, params))) < 1e-13
 
     def test_one_exponential_per_square_state(self, monkeypatch):
         calls = []

@@ -87,6 +87,14 @@ class TestPartialTrace:
         with pytest.raises(ContractError):
             partial_trace(bad, 0)
 
+    @pytest.mark.parametrize("diagonal_only", [False, True], ids=["dense", "diagonal-only"])
+    def test_nan_state_rejected(self, diagonal_only):
+        # NaN compares False with every tolerance, so the checks must fail closed
+        amps = np.zeros((2, 2)) if diagonal_only else np.full((2, 2), math.nan)
+        amps[0, 0] = math.nan
+        with pytest.raises(ContractError):
+            partial_trace(ComplexAmplitudeTensor(amps, (2, 2), 0.0), 0)
+
 
 class TestHermitianEigenvalues:
     def test_already_diagonal(self):
