@@ -11,7 +11,6 @@ from .analytic import (
     renyi_general,
     renyi_sh,
     renyi_squeezed,
-    sh_overlap_constant,
     sh_spectrum,
     squeezed_entanglement_spectrum,
     squeezed_spectrum,

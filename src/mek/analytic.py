@@ -130,11 +130,6 @@ def von_neumann_limit_check(r: float, epsilon: float) -> float:
 # qubit-boson superposition family
 # ---------------------------------------------------------------------------
 
-def sh_overlap_constant(params: SHParams) -> float:
-    """Branch overlap exp(-2 f.f); equals 1 only for vanishing displacements."""
-    return math.exp(-2.0 * params.f_dot_f)
-
-
 def _sh_minor_weight(params: SHParams) -> float:
     """Smaller reduced-state eigenvalue (1 - c)/2 = -expm1(-2 f.f)/2, exact as f.f -> 0."""
     return -math.expm1(-2.0 * params.f_dot_f) / 2.0

@@ -151,6 +151,15 @@ class ComplexAmplitudeTensor:
 # ladder operators and matrix exponential
 # ---------------------------------------------------------------------------
 
+def _is_diagonal_only(matrix: np.ndarray) -> bool:
+    """True for a square matrix with no nonzero off-diagonal entry.
+
+    NaN and inf count as nonzero, so a non-finite off-diagonal entry fails.
+    """
+    rows, cols = matrix.shape
+    return rows == cols and np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
+
+
 def _real_if_exact(value: complex):
     """``value`` as a float when its imaginary part is exactly 0, else as a complex.
 
@@ -407,17 +416,17 @@ def build_squeezed_vacuum(
     _check_tol(tail_tol)
     _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     _check_squeezed_tail(params.r, cutoff, tail_tol)
-    amps = np.zeros((cutoff.dim, cutoff.dim), dtype=float if params.theta == 0.0 else complex)
     if params.r == 0.0:
-        amps[0, 0] = 1.0
+        schmidt = np.zeros(cutoff.dim, dtype=float if params.theta == 0.0 else complex)
+        schmidt[0] = 1.0
     else:
         ns = np.arange(cutoff.dim)
         exponent = ns * log_tanh(params.r) - math.log(math.cosh(params.r))
         if params.theta != 0.0:
             exponent = exponent + 1j * ns * params.theta
-        amps[ns, ns] = np.exp(exponent)
-    tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    return ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), tail_mass)
+        schmidt = np.exp(exponent)
+    tail_mass = max(0.0, 1.0 - float(np.vdot(schmidt, schmidt).real))
+    return ComplexAmplitudeTensor(np.diag(schmidt), (cutoff.dim, cutoff.dim), tail_mass)
 
 
 def displacement_generator(alpha: complex, n_max: int) -> np.ndarray:
@@ -504,7 +513,10 @@ def apply_two_mode_displacement(
             for dim, amp in zip(state.mode_dims, amplitudes)
         ]
     op_a, op_b = (_phased(op, amp) for op, amp in zip(unphased, amplitudes))
-    amps = op_a @ state.amplitudes @ op_b.T
+    if _is_diagonal_only(state.amplitudes):  # op_a diag(s) = op_a * s, bit for bit
+        amps = (op_a * state.amplitudes.diagonal()) @ op_b.T
+    else:
+        amps = op_a @ state.amplitudes @ op_b.T
     leak = _check_boundary_leak(amps, tail_tol, "displacement")
     tail_mass = max(state.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, state.mode_dims, tail_mass)

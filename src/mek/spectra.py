@@ -4,8 +4,9 @@ Eigenvalues and singular values come from LAPACK through numpy
 (``eigvalsh`` and ``svd``); this module adds the contract checks around them:
 squareness, Hermiticity, and the round-off window for negative eigenvalues.
 A reduction that is exactly diagonal (a state already in Schmidt form, such as
-the two-mode squeezed vacuum) is built, checked and read off in O(d^2), with
-neither the O(d^3) product nor the solve.
+the two-mode squeezed vacuum) is detected once, in ``partial_trace``, and
+carried as its real diagonal alone: it is checked and read off in O(d), with
+no d x d matrix, no O(d^3) product and no solve.
 
 Real amplitudes give a real symmetric rho (float64), which goes through the
 same calls to LAPACK's real kernels; complex amplitudes give a complex
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DimensionError
-from .fockspace import ComplexAmplitudeTensor
+from .fockspace import ComplexAmplitudeTensor, _is_diagonal_only
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -25,11 +26,29 @@ NEGATIVE_CLAMP = -1e-10
 DEFAULT_RANK_TOL = 1e-10
 
 
-@dataclass
 class ReducedDensityMatrix:
-    """Hermitian reduced density operator of one tensor factor."""
+    """Hermitian reduced density operator of one tensor factor.
 
-    entries: np.ndarray
+    A diagonal reduction (``partial_trace`` of a state in Schmidt form) holds
+    only its real diagonal; ``entries`` builds the dense float64 matrix from
+    it on first access.
+    """
+
+    def __init__(self, entries: np.ndarray):
+        self._entries = entries
+        self._diagonal = None
+
+    @classmethod
+    def _from_diagonal(cls, diagonal: np.ndarray) -> "ReducedDensityMatrix":
+        rho = cls(None)
+        rho._diagonal = diagonal
+        return rho
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = np.diag(self._diagonal)
+        return self._entries
 
 
 @dataclass
@@ -58,19 +77,8 @@ def _unfold(state: ComplexAmplitudeTensor, keep_factor: int) -> np.ndarray:
     return np.moveaxis(state.amplitudes, keep_factor, 0).reshape(kept_dim, -1)
 
 
-def _is_diagonal_only(matrix: np.ndarray) -> bool:
-    """True for a square matrix with no nonzero off-diagonal entry.
-
-    NaN and inf count as nonzero, so a non-finite off-diagonal entry fails.
-    """
-    rows, cols = matrix.shape
-    return rows == cols and np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
-
-
-def _hermiticity_defect(matrix: np.ndarray, diagonal_only: bool) -> float:
-    """max |m - m^H|; for a diagonal-only matrix that is exactly 2 max |Im m_ii|."""
-    if diagonal_only:
-        return 2.0 * float(np.max(np.abs(matrix.diagonal().imag)))
+def _hermiticity_defect(matrix: np.ndarray) -> float:
+    """max |m - m^H|."""
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
@@ -80,31 +88,34 @@ def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDen
     Returns rho with entries sum_j psi(kept=i, j) psi^*(kept=i', j), where j
     runs over the joint index of all traced factors. A square unfolding with
     no nonzero off-diagonal amplitude (a state already in Schmidt form, such
-    as the two-mode squeezed vacuum) gives the diagonal rho_ii = |psi_ii|^2
-    in O(d^2), without the O(d^3) product, as float64; any other state takes
-    the product, in the amplitudes' dtype.
+    as the two-mode squeezed vacuum) gives the diagonal rho_ii = |psi_ii|^2,
+    kept as a float64 vector of d entries: no d x d matrix and no O(d^3)
+    product, and the Hermiticity check, exactly 0 there, is skipped. Any
+    other state takes the product, in the amplitudes' dtype.
     """
     unfolded = _unfold(state, keep_factor)
-    diagonal_only = _is_diagonal_only(unfolded)
-    if diagonal_only:
+    if _is_diagonal_only(unfolded):
         schmidt = unfolded.diagonal()
-        rho = np.zeros(unfolded.shape)
-        np.fill_diagonal(rho, schmidt.real**2 + schmidt.imag**2)
+        diagonal = schmidt.real**2 + schmidt.imag**2
+        trace = float(np.sum(diagonal))
+        rho = ReducedDensityMatrix._from_diagonal(diagonal)
     else:
         unfolded = np.ascontiguousarray(unfolded)
-        rho = unfolded @ unfolded.conj().T
+        entries = unfolded @ unfolded.conj().T
+        # written as "not defect < tol" so that a NaN defect fails the check
+        herm_defect = _hermiticity_defect(entries)
+        if not herm_defect < HERMITICITY_TOL:
+            raise ContractError(f"reduced matrix is not Hermitian: defect {herm_defect:.3e}")
+        trace = float(np.trace(entries).real)
+        rho = ReducedDensityMatrix(entries)
 
-    # written as "not defect < tol" so that a NaN defect fails the check
-    herm_defect = _hermiticity_defect(rho, diagonal_only)
-    if not herm_defect < HERMITICITY_TOL:
-        raise ContractError(f"reduced matrix is not Hermitian: defect {herm_defect:.3e}")
-    trace_defect = abs(1.0 - float(np.trace(rho).real))
+    trace_defect = abs(1.0 - trace)
     if not trace_defect < TRACE_TOL:
         raise ContractError(
             f"reduced matrix trace deviates from 1 by {trace_defect:.3e}; "
             "was the input state normalized?"
         )
-    return ReducedDensityMatrix(rho)
+    return rho
 
 
 def hermitian_eigenvalues(
@@ -113,31 +124,31 @@ def hermitian_eigenvalues(
 ) -> EntanglementSpectrum:
     """Full eigenvalue set of a Hermitian reduced matrix, sorted descending.
 
-    Input with no nonzero off-diagonal entry returns its real diagonal,
-    sorted, and its finiteness and Hermiticity checks read only the diagonal;
-    the squeezed-vacuum reductions are exactly diagonal, and this skips an
-    O(d^3) solve on them. Any other input goes to LAPACK's Hermitian
-    eigenvalue solver in its own dtype: the real symmetric solver for real
-    input, the complex Hermitian one for complex input. Non-finite entries
-    are an error. Negative round-off above -1e-10 is clamped to zero;
-    anything below is an error.
+    A diagonal reduction from ``partial_trace`` returns its real diagonal,
+    sorted, in O(d log d); the squeezed-vacuum reductions are exactly
+    diagonal, and this skips both the d x d matrix and an O(d^3) solve on
+    them. Any other input goes to LAPACK's Hermitian eigenvalue solver in
+    its own dtype: the real symmetric solver for real input, the complex
+    Hermitian one for complex input. Non-finite entries are an error.
+    Negative round-off above -1e-10 is clamped to zero; anything below is an
+    error.
     """
-    entries = np.asarray(rho.entries)
-    entries = entries.astype(np.result_type(entries, np.float64), copy=False)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise DimensionError(f"density matrix must be square, got {entries.shape}")
-    diagonal_only = _is_diagonal_only(entries)
-    # LAPACK returns NaN or arbitrary values for non-finite input, without error;
-    # off the diagonal of a diagonal-only matrix every entry is an exact zero
-    if not np.all(np.isfinite(entries.diagonal() if diagonal_only else entries)):
-        raise ContractError("density matrix has non-finite entries")
-    herm_defect = _hermiticity_defect(entries, diagonal_only)
-    if herm_defect >= HERMITICITY_TOL:
-        raise ContractError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
-
-    if diagonal_only:
-        eigenvalues = np.sort(entries.diagonal().real)[::-1].copy()
+    if rho._diagonal is not None:
+        # LAPACK is not reached, but a NaN would still sort as a probability
+        if not np.all(np.isfinite(rho._diagonal)):
+            raise ContractError("density matrix has non-finite entries")
+        eigenvalues = np.sort(rho._diagonal)[::-1].copy()
     else:
+        entries = np.asarray(rho.entries)
+        entries = entries.astype(np.result_type(entries, np.float64), copy=False)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise DimensionError(f"density matrix must be square, got {entries.shape}")
+        # LAPACK returns NaN or arbitrary values for non-finite input, without error
+        if not np.all(np.isfinite(entries)):
+            raise ContractError("density matrix has non-finite entries")
+        herm_defect = _hermiticity_defect(entries)
+        if herm_defect >= HERMITICITY_TOL:
+            raise ContractError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
         eigenvalues = np.linalg.eigvalsh(entries)[::-1].copy()
 
     worst = float(eigenvalues.min(initial=0.0))

@@ -38,6 +38,21 @@ class EffectiveThermalModel:
     infinite_ladder: bool = False
 
 
+def _reciprocal_temperature(log_ratio: float, spacing: float, name: str) -> float:
+    """beta = -log_ratio / spacing; ValueError naming the spacing if that overflows.
+
+    An overflowed beta of an entangled state would read as the separable
+    sentinel beta = inf.
+    """
+    beta = -log_ratio / spacing
+    if math.isinf(beta):
+        raise ValueError(
+            f"{name} {spacing!r} is too small: beta_eff = {-log_ratio:g} / {spacing!r} "
+            "overflows float64"
+        )
+    return beta
+
+
 def oscillator_model_from_squeezing(r: float, hbar_omega: float = 1.0) -> EffectiveThermalModel:
     """Harmonic-oscillator model of one mode of a pair-squeezed state.
 
@@ -50,7 +65,7 @@ def oscillator_model_from_squeezing(r: float, hbar_omega: float = 1.0) -> Effect
         raise ValueError(f"level spacing must be positive, got {hbar_omega}")
     if r == 0.0:
         return EffectiveThermalModel(math.inf, hbar_omega, 1.0, 0.0, True)
-    beta = -2.0 * log_tanh(r) / hbar_omega
+    beta = _reciprocal_temperature(2.0 * log_tanh(r), hbar_omega, "level spacing")
     z = math.cosh(r) ** 2
     free_energy = -2.0 * log_cosh(r) / beta
     return EffectiveThermalModel(beta, hbar_omega, z, free_energy, True)
@@ -67,7 +82,7 @@ def two_level_model_from_sh(params: SHParams, delta: float = 1.0) -> EffectiveTh
     s = params.f_dot_f
     if s == 0.0:
         return EffectiveThermalModel(math.inf, delta, 1.0, 0.0, False)
-    beta = -log_tanh(s) / delta
+    beta = _reciprocal_temperature(log_tanh(s), delta, "energy gap")
     z = 1.0 + math.tanh(s)
     free_energy = -math.log1p(math.tanh(s)) / beta
     return EffectiveThermalModel(beta, delta, z, free_energy, False)

@@ -32,6 +32,33 @@ R_GRID_C1 = (0.1, 0.5, 1.0, 2.0)
 MU_GRID_C1 = (0.5, 1.0, 2.0, 5.0, math.inf)
 
 
+def fitted_slope(xs, ys) -> float:
+    """Least-squares slope of ys against xs."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+
+
+def asymptotic_slope_target(mu: float) -> float:
+    """Large-r slope dS_mu/dr of the two-mode squeezed entropy: 2 for every order mu > 0.
+
+    With t = tanh r, S_mu = [ln(1 - t^{2 mu}) + 2 mu ln cosh r] / (mu - 1).
+    As r -> inf, 1 - t^{2 mu} ~ 2 mu (1 - t) ~ 4 mu e^{-2r} and ln cosh r ~ r - ln 2,
+    so S_mu ~ [ln 4 mu - 2r + 2 mu r - 2 mu ln 2] / (mu - 1) = 2r + O(1). The
+    coefficient 2 mu / (mu - 1) of the ln cosh term alone is not the slope. The
+    von Neumann limit (mu = 1), the order-2 value ln cosh 2r and the single-copy
+    value S_inf = 2 ln cosh r all grow with slope 2 as well. The order-0 entropy
+    is +inf for every r > 0 and has no slope, so mu must be positive.
+
+    The value is derived by hand, not computed from a closed form, so it can
+    serve as an independent target for a fitted slope.
+    """
+    if not mu > 0.0:
+        raise ValueError(f"Renyi order must be positive, got {mu}")
+    return 2.0
+
+
 def _report(name: str, passed: bool, detail: str):
     print(f"ACCEPTANCE {name}: {'PASS' if passed else 'FAIL'} ({detail})")
 
@@ -192,11 +219,20 @@ def test_c6_entropy_strictly_increasing():
     assert worst < 0.0
 
 
+def test_c6_slope_target_is_universal():
+    # S_mu = 2r + O(1) at large r for every order, below and at mu = 1 included
+    for mu in (0.5, 1.0, 2.0, 5.0, math.inf):
+        assert asymptotic_slope_target(mu) == 2.0
+    for mu in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            asymptotic_slope_target(mu)
+
+
 @pytest.mark.parametrize("mu", [2.0, 5.0, math.inf], ids=["mu2", "mu5", "muinf"])
 def test_c6_asymptotic_slope(mu):
     grid = np.linspace(4.0, 6.0, 21)
-    slope = cli.fitted_slope(grid, [analytic.renyi_squeezed(float(r), mu) for r in grid])
-    target = cli.asymptotic_slope_target(mu)
+    slope = fitted_slope(grid, [analytic.renyi_squeezed(float(r), mu) for r in grid])
+    target = asymptotic_slope_target(mu)
     rel = abs(slope - target) / target
     passed = rel < 0.01
     _report(

@@ -11,7 +11,6 @@ from mek.analytic import (
     renyi_general,
     renyi_sh,
     renyi_squeezed,
-    sh_overlap_constant,
     sh_spectrum,
     squeezed_entanglement_spectrum,
     squeezed_spectrum,
@@ -164,16 +163,21 @@ class TestVonNeumannLimit:
 
 
 class TestShOverlap:
+    """The branch overlap c = exp(-2 f.f) is the gap p+ - p- of the qubit spectrum."""
+
+    @staticmethod
+    def overlap(params):
+        plus, minus = sh_spectrum(params).probabilities
+        return plus - minus
+
     def test_zero_displacement(self):
-        assert sh_overlap_constant(SHParams((0.0, 0.0))) == 1.0
+        assert self.overlap(SHParams((0.0, 0.0))) == 1.0
 
     def test_two_mode_value(self):
-        assert sh_overlap_constant(SHParams((0.5, 0.5))) == pytest.approx(
-            math.exp(-1.0), rel=1e-15
-        )
+        assert self.overlap(SHParams((0.5, 0.5))) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_depends_only_on_dot_product(self):
-        assert sh_overlap_constant(SHParams((0.3, 0.4, 0.5))) == pytest.approx(
+        assert self.overlap(SHParams((0.3, 0.4, 0.5))) == pytest.approx(
             math.exp(-1.0), rel=1e-15
         )
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mek import analytic, cli, thermo
+from mek import analytic, cli, spectra, thermo
 from mek.cli import (
     SweepConfig,
     SWEEP_HEADER,
@@ -93,6 +93,23 @@ class TestFamilyTable:
             probs = family.oracle(family.params(0.1), config).probabilities
             assert np.all(probs >= 0.0), name
             assert abs(float(np.sum(probs)) - 1.0) < 1e-10, name
+
+
+class TestReducedSpectrum:
+    @pytest.mark.parametrize("family", cli.FAMILIES)
+    def test_one_reduction_per_state(self, family, monkeypatch):
+        calls = []
+        for name in ("partial_trace", "hermitian_eigenvalues"):
+            original = getattr(spectra, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(spectra, name, counting)
+        config = SweepConfig(family, [0.3, 0.6], [0.5, 1.0, 2.0, math.inf], oracle=True)
+        run_sweep(config)
+        assert calls == ["partial_trace", "hermitian_eigenvalues"] * 2
 
 
 class TestRunSweep:
@@ -200,16 +217,6 @@ class TestRendering:
         payload = json.loads(text)
         assert payload["columns"] == ["a", "b"]
         assert payload["rows"][0] == {"a": "inf", "b": 1.5}
-
-
-class TestSlopeTarget:
-    def test_universal_slope_and_rejected_orders(self):
-        # S_mu = 2r + O(1) at large r for every order, below and at mu = 1 included
-        for mu in (0.5, 1.0, 2.0, 5.0, math.inf):
-            assert cli.asymptotic_slope_target(mu) == 2.0
-        for mu in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                cli.asymptotic_slope_target(mu)
 
 
 class TestVerification:
@@ -356,6 +363,20 @@ class TestMainEntry:
             run(SweepConfig(family, [param], [1.0, 2.0, math.inf]))
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(f"mek: {error.__name__}: ")
+
+    @pytest.mark.parametrize("command", ["sweep", "thermo-table"])
+    @pytest.mark.parametrize("family, flag", [
+        ("squeezed", "--hbar-omega"),
+        ("silbey-harris", "--delta"),
+    ])
+    def test_overflowing_beta_exits_cleanly(self, command, family, flag, capsys):
+        # an entangled state must not print the separable sentinel beta_eff=inf, F=0
+        code = cli.main([command, "--family", family, "--grid", "0.5", flag, "1e-320"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("mek: ")
+        assert "1e-320" in captured.err
 
     def test_oracle_memory_budget_exceeded(self, monkeypatch, capsys):
         monkeypatch.setenv("MEK_MEM_BUDGET", "1000")

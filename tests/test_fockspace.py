@@ -427,6 +427,28 @@ class TestDisplacementRoute:
             out = apply_two_mode_displacement(state, params, tail_tol=math.inf)
             assert np.max(np.abs(out.amplitudes - self.per_mode_eigh(state, params))) < 1e-13
 
+    @pytest.mark.parametrize("dim", [14, 64, 266])
+    def test_diagonal_state_skips_the_dense_product(self, dim, monkeypatch):
+        # (op_a * s) @ op_b.T on a real Schmidt diagonal s gives the dense
+        # product op_a @ diag(s) @ op_b.T bit for bit, for real and complex
+        # displacements; a complex s agrees to round-off
+        cases = [
+            (SqueezedStateParams(0.6), DisplacementParams(0.5, -0.3), True),
+            (SqueezedStateParams(0.6), DisplacementParams(0.4 - 0.2j, 0.3j), True),
+            (SqueezedStateParams(0.6, 1.1), DisplacementParams(0.4 - 0.2j, 0.3j), False),
+        ]
+        for params_s, params_d, bitwise in cases:
+            state = build_squeezed_vacuum(params_s, FockCutoff(dim - 1), 1e-3)
+            diagonal = apply_two_mode_displacement(state, params_d, tail_tol=math.inf)
+            with monkeypatch.context() as patch:
+                patch.setattr(fockspace, "_is_diagonal_only", lambda matrix: False)
+                dense = apply_two_mode_displacement(state, params_d, tail_tol=math.inf)
+            assert diagonal.amplitudes.dtype == dense.amplitudes.dtype
+            if bitwise:
+                np.testing.assert_array_equal(diagonal.amplitudes, dense.amplitudes)
+            else:
+                assert np.max(np.abs(diagonal.amplitudes - dense.amplitudes)) < 1e-15
+
     def test_one_exponential_per_square_state(self, monkeypatch):
         calls = []
         original = fockspace.operator_exponential

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mek.fockspace import (
     build_coherent_two_mode,
     build_silbey_harris,
     build_squeezed_vacuum,
+    squeezed_cutoff,
 )
 from mek.spectra import (
     ReducedDensityMatrix,
@@ -81,10 +83,16 @@ class TestPartialTrace:
         assert (off_nonzero == 0) == (off_diagonal == 0.0)
 
     def test_unnormalized_state_rejected(self):
+        # a diagonal state: the trace check runs on sum |psi_ii|^2, with the
+        # tolerance and message of the dense route
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 0] = 0.5
         bad = ComplexAmplitudeTensor(amps, (3, 3), 0.0)
-        with pytest.raises(ContractError):
+        message = (
+            r"^reduced matrix trace deviates from 1 by 7\.500e-01; "
+            r"was the input state normalized\?$"
+        )
+        with pytest.raises(ContractError, match=message):
             partial_trace(bad, 0)
 
     @pytest.mark.parametrize("diagonal_only", [False, True], ids=["dense", "diagonal-only"])
@@ -94,6 +102,48 @@ class TestPartialTrace:
         amps[0, 0] = math.nan
         with pytest.raises(ContractError):
             partial_trace(ComplexAmplitudeTensor(amps, (2, 2), 0.0), 0)
+
+
+class TestDiagonalRoute:
+    """A reduction in Schmidt form carries only its real diagonal |psi_ii|^2."""
+
+    def test_reduction_allocates_no_dense_matrix(self):
+        state = build_squeezed_vacuum(SqueezedStateParams(2.5), squeezed_cutoff(2.5))
+        dim = state.mode_dims[0]
+        tracemalloc.start()
+        try:
+            spectrum = hermitian_eigenvalues(partial_trace(state, 0), rank_tolerance=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.probabilities.size == dim
+        assert peak < 64 * dim, f"peak {peak} bytes at d = {dim}; a dense rho is {8 * dim * dim}"
+
+    @pytest.mark.parametrize("theta", [0.0, 1.1])
+    def test_entries_are_the_float64_diagonal(self, theta):
+        state = build_squeezed_vacuum(SqueezedStateParams(0.8, theta), FockCutoff(40))
+        psi = state.amplitudes.diagonal()
+        entries = partial_trace(state, 0).entries
+        expected = np.diag(psi.real**2 + psi.imag**2)
+        assert entries.dtype == np.float64
+        assert entries.shape == expected.shape
+        assert entries.tobytes() == expected.tobytes()
+
+    def test_one_diagonal_scan_per_reduction(self, monkeypatch):
+        # partial_trace decides once; hermitian_eigenvalues does not scan rho again
+        scans = []
+        original = spectra._is_diagonal_only
+
+        def counting(matrix):
+            scans.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(spectra, "_is_diagonal_only", counting)
+        for params in (SqueezedStateParams(0.8), SqueezedStateParams(0.8, 1.1)):
+            scans.clear()
+            state = build_squeezed_vacuum(params, FockCutoff(40))
+            hermitian_eigenvalues(partial_trace(state, 0), rank_tolerance=0.0)
+            assert scans == [(41, 41)]
 
 
 class TestHermitianEigenvalues:

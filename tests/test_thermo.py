@@ -81,6 +81,13 @@ class TestOscillatorModel:
         with pytest.raises(ValueError):
             oscillator_model_from_squeezing(1.0, 0.0)
 
+    def test_overflowing_beta_names_the_spacing(self):
+        # beta = -2 ln tanh r / hbar_omega overflows; inf would read as separable
+        with pytest.raises(ValueError, match="level spacing 1e-320"):
+            oscillator_model_from_squeezing(0.5, 1e-320)
+        assert oscillator_model_from_squeezing(0.5, 1e-300).beta_eff < math.inf
+        assert oscillator_model_from_squeezing(0.0, 1e-320).beta_eff == math.inf
+
 
 class TestTwoLevelModel:
     def test_unit_dot_values(self):
@@ -115,6 +122,13 @@ class TestTwoLevelModel:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             two_level_model_from_sh(SHParams((0.5,)), 0.0)
+
+    def test_overflowing_beta_names_the_gap(self):
+        # beta = -ln tanh(f.f) / delta overflows; inf would read as separable
+        with pytest.raises(ValueError, match="energy gap 1e-320"):
+            two_level_model_from_sh(SHParams((0.5,)), 1e-320)
+        assert two_level_model_from_sh(SHParams((0.5,)), 1e-300).beta_eff < math.inf
+        assert two_level_model_from_sh(SHParams((0.0,)), 1e-320).beta_eff == math.inf
 
     def test_free_energy_keeps_relative_precision_at_tiny_dot(self):
         # ln Z = ln(1 + tanh s) = s - ln cosh s and beta = -ln tanh s; a Z
