@@ -3,6 +3,12 @@
 Output is deterministic: identical configuration gives byte-identical files
 (``verify`` draws its parameters from ``--seed``), and the CSV column order
 never changes between runs.
+
+Every oracle point, in ``sweep --oracle`` and in ``verify``, first fixes an
+``OraclePlan``: the Fock cutoff, the builders' tail and boundary-leak
+tolerances and the spectrum's rank tolerance, from one rule per kind of state
+(squeezed, displaced, coherent product). Builders and reductions take every
+tolerance from the plan.
 """
 
 import argparse
@@ -63,7 +69,10 @@ class SweepConfig:
 def parse_grid(text: str) -> list:
     """Parse 'start:stop:count' (inclusive linspace) or a comma list of values."""
     if ":" in text:
-        start, stop, count = text.split(":")
+        fields = text.split(":")
+        if len(fields) != 3 or int(fields[2]) < 1:
+            raise ValueError(f"grid {text!r} must read 'start:stop:count' with a count >= 1")
+        start, stop, count = fields
         return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
     values = [float(tok) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -76,99 +85,123 @@ def parse_mu_list(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# oracle pipelines (truncated basis -> partial trace -> LAPACK spectrum)
+# oracle pipelines (plan -> truncated basis -> partial trace -> LAPACK spectrum)
 # ---------------------------------------------------------------------------
 
-def power_aware_tail_tol(tail_tol: float, mu_list) -> float:
-    """Tighten the occupation tail so each requested power sum keeps its bound.
+@dataclass(frozen=True)
+class OraclePlan:
+    """Every truncation decision of one oracle point, made by one rule per kind of state.
 
-    The mu-th powers of a geometric spectrum are again geometric; for orders
-    below 1 the power series decays more slowly than the probabilities, so
-    bounding its tail at ``tail_tol`` requires an occupation tail of
-    tail_tol^(1/mu). ValueError if that tail underflows to 0 in float64.
+    ``cutoff`` is each mode's Fock cutoff, ``tail_tol`` the occupation tail the
+    builders may drop, ``leak_tol`` the probability an applied operator may push
+    onto the truncation boundary, ``rank_tol`` the reduced spectrum's rank
+    tolerance. The squeezed families keep every eigenvalue (0.0): the low-order
+    entropies need the whole geometric tail. The coherent and qubit-boson
+    reductions have rank 1 or 2, so they drop entries below
+    spectra.DEFAULT_RANK_TOL as round-off.
     """
-    fractional = [mu for mu in mu_list if 0.0 < mu < 1.0]
-    if not fractional:
-        return tail_tol
-    mu = min(fractional)
-    tol = tail_tol ** (1.0 / mu)
-    if tol == 0.0:
-        raise ValueError(
-            f"Renyi order {mu:g} needs an occupation tail of {tail_tol:g}^(1/{mu:g}) ~ "
-            f"1e{math.log10(tail_tol) / mu:.0f}, which underflows float64; use a larger order"
-        )
-    return tol
+
+    cutoff: FockCutoff
+    tail_tol: float
+    leak_tol: float = fockspace.DEFAULT_LEAK_TOL
+    rank_tol: float = 0.0
+
+    @classmethod
+    def squeezed(cls, r: float, tail_tol: float, mu_list=()) -> "OraclePlan":
+        """Pair-squeezed vacuum, its occupation tail tightened for the orders below 1.
+
+        The mu-th powers of a geometric spectrum are again geometric; for orders
+        below 1 the power series decays more slowly than the probabilities, so
+        bounding its tail at ``tail_tol`` requires an occupation tail of
+        tail_tol^(1/mu). ValueError if that tail underflows to 0 in float64.
+        """
+        mu = min((mu for mu in mu_list if 0.0 < mu < 1.0), default=1.0)
+        tol = tail_tol ** (1.0 / mu)
+        if tol == 0.0:
+            raise ValueError(
+                f"Renyi order {mu:g} needs an occupation tail of {tail_tol:g}^(1/{mu:g}) ~ "
+                f"1e{math.log10(tail_tol) / mu:.0f}, which underflows float64; use a larger order"
+            )
+        return cls(fockspace.squeezed_cutoff(r, tol), tol)
+
+    @classmethod
+    def displaced(cls, r: float, disp: DisplacementParams, tail_tol: float) -> "OraclePlan":
+        """Displaced pair-squeezed state: the squeezed cutoff plus displacement headroom.
+
+        The headroom keeps each displacement's own coherent tail below
+        ``tail_tol``; a guard band of 4 levels sits on top.
+        """
+        base = fockspace.squeezed_cutoff(r, tail_tol).n_max
+        pad = max(fockspace.coherent_cutoff(a, tail_tol).n_max for a in (disp.alpha, disp.beta_b))
+        return cls(FockCutoff(base + pad + 4), tail_tol)
+
+    @classmethod
+    def coherent_product(cls, amplitudes, tail_tol: float) -> "OraclePlan":
+        """Product of coherent states, one per amplitude: the coherent builders' tail rule."""
+        cutoff = fockspace.coherent_product_cutoff(amplitudes, tail_tol)
+        return cls(cutoff, tail_tol, rank_tol=spectra.DEFAULT_RANK_TOL)
 
 
 def _reduced_spectrum(
-    state: fockspace.ComplexAmplitudeTensor, rank_tolerance: float, keep_factor: int = 0
+    state: fockspace.ComplexAmplitudeTensor, plan: OraclePlan, keep_factor: int = 0
 ) -> spectra.EntanglementSpectrum:
     """Entanglement spectrum of the reduced state of factor ``keep_factor``."""
     rho = spectra.partial_trace(state, keep_factor)
-    return spectra.hermitian_eigenvalues(rho, rank_tolerance=rank_tolerance)
+    return spectra.hermitian_eigenvalues(rho, rank_tolerance=plan.rank_tol)
 
-
-# The squeezed-family oracles keep every eigenvalue (rank tolerance 0.0): the
-# low-order entropies need the whole geometric tail. The coherent and
-# qubit-boson reductions have rank 1 or 2, so they drop entries below
-# spectra.DEFAULT_RANK_TOL as round-off.
 
 def oracle_squeezed_spectrum(
     r: float,
     theta: float = 0.0,
-    tail_tol: float = 1e-12,
+    tail_tol: float = fockspace.DEFAULT_TAIL_TOL,
     mu_list=(),
 ) -> spectra.EntanglementSpectrum:
     """Spectrum of one mode of the pair-squeezed vacuum via the truncated basis."""
-    tol = power_aware_tail_tol(tail_tol, mu_list)
-    cutoff = fockspace.squeezed_cutoff(r, tol)
-    state = fockspace.build_squeezed_vacuum(SqueezedStateParams(r, theta), cutoff, tol)
-    return _reduced_spectrum(state, 0.0)
-
-
-def displaced_state_cutoff(r: float, disp: DisplacementParams, tail_tol: float) -> FockCutoff:
-    """Squeezed-state cutoff padded with displacement headroom plus a guard band.
-
-    The headroom keeps each displacement's own coherent tail below ``tail_tol``.
-    """
-    base = fockspace.squeezed_cutoff(r, tail_tol).n_max
-    pad = max(fockspace.coherent_cutoff(amp, tail_tol).n_max for amp in (disp.alpha, disp.beta_b))
-    return FockCutoff(base + pad + 4)
+    plan = OraclePlan.squeezed(r, tail_tol, mu_list)
+    params = SqueezedStateParams(r, theta)
+    state = fockspace.build_squeezed_vacuum(params, plan.cutoff, plan.tail_tol)
+    return _reduced_spectrum(state, plan)
 
 
 def build_displaced_squeezed(
-    r: float, disp: DisplacementParams, tail_tol: float = 1e-12
+    r: float, disp: DisplacementParams, plan: OraclePlan
 ) -> fockspace.ComplexAmplitudeTensor:
     """Displace a pair-squeezed vacuum (displacement applied after squeezing)."""
-    cutoff = displaced_state_cutoff(r, disp, tail_tol)
-    state = fockspace.build_squeezed_vacuum(SqueezedStateParams(r), cutoff, tail_tol)
-    return fockspace.apply_two_mode_displacement(state, disp)
+    state = fockspace.build_squeezed_vacuum(SqueezedStateParams(r), plan.cutoff, plan.tail_tol)
+    return fockspace.apply_two_mode_displacement(state, disp, plan.leak_tol)
 
 
-def oracle_displaced_squeezed_spectrum(r, disp, tail_tol=1e-12) -> spectra.EntanglementSpectrum:
-    return _reduced_spectrum(build_displaced_squeezed(r, disp, tail_tol), 0.0)
+def oracle_displaced_squeezed_spectrum(
+    r, disp, tail_tol=fockspace.DEFAULT_TAIL_TOL
+) -> spectra.EntanglementSpectrum:
+    plan = OraclePlan.displaced(r, disp, tail_tol)
+    return _reduced_spectrum(build_displaced_squeezed(r, disp, plan), plan)
 
 
-def oracle_squeezed_coherent_spectrum(r, disp, tail_tol=1e-12) -> spectra.EntanglementSpectrum:
-    cutoff = displaced_state_cutoff(r, disp, tail_tol)
-    state = fockspace.build_squeezed_coherent(
-        SqueezedStateParams(r), disp, cutoff, tail_tol=1e-10
-    )
-    return _reduced_spectrum(state, 0.0)
+def oracle_squeezed_coherent_spectrum(
+    r, disp, tail_tol=fockspace.DEFAULT_TAIL_TOL
+) -> spectra.EntanglementSpectrum:
+    plan = OraclePlan.displaced(r, disp, tail_tol)
+    # the builder holds its tails and its boundary leak to one tolerance, and
+    # the pair squeeze leaks more than tail_tol on this cutoff
+    state = fockspace.build_squeezed_coherent(SqueezedStateParams(r), disp, plan.cutoff, plan.leak_tol)
+    return _reduced_spectrum(state, plan)
 
 
 def oracle_coherent_spectrum(
-    disp: DisplacementParams, tail_tol: float = 1e-12
+    disp: DisplacementParams, tail_tol: float = fockspace.DEFAULT_TAIL_TOL
 ) -> spectra.EntanglementSpectrum:
-    cutoff = fockspace.coherent_product_cutoff((disp.alpha, disp.beta_b), tail_tol)
-    state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
-    return _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
+    plan = OraclePlan.coherent_product((disp.alpha, disp.beta_b), tail_tol)
+    state = fockspace.build_coherent_two_mode(disp, plan.cutoff, plan.tail_tol)
+    return _reduced_spectrum(state, plan)
 
 
-def oracle_sh_spectrum(params: SHParams, tail_tol: float = 1e-12) -> spectra.EntanglementSpectrum:
-    cutoff = fockspace.coherent_product_cutoff(params.f, tail_tol)
-    state = fockspace.build_silbey_harris(params, cutoff, tail_tol)
-    return _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
+def oracle_sh_spectrum(
+    params: SHParams, tail_tol: float = fockspace.DEFAULT_TAIL_TOL
+) -> spectra.EntanglementSpectrum:
+    plan = OraclePlan.coherent_product(params.f, tail_tol)
+    state = fockspace.build_silbey_harris(params, plan.cutoff, plan.tail_tol)
+    return _reduced_spectrum(state, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +394,16 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     # builder norms stay within the tail tolerance
     dev = 0.0
     disp = DisplacementParams(*(rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)))
-    cutoff = fockspace.coherent_product_cutoff((disp.alpha, disp.beta_b), tail_tol)
-    state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
+    plan = OraclePlan.coherent_product((disp.alpha, disp.beta_b), tail_tol)
+    state = fockspace.build_coherent_two_mode(disp, plan.cutoff, plan.tail_tol)
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     r_draw = float(rng.uniform(0.1, 1.2))
-    state = fockspace.build_squeezed_vacuum(
-        SqueezedStateParams(r_draw), fockspace.squeezed_cutoff(r_draw, tail_tol), tail_tol
-    )
+    plan = OraclePlan.squeezed(r_draw, tail_tol)
+    state = fockspace.build_squeezed_vacuum(SqueezedStateParams(r_draw), plan.cutoff, plan.tail_tol)
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     sh_params = SHParams(tuple(rng.uniform(0.1, 0.8, 2)))
-    cutoff = fockspace.coherent_product_cutoff(sh_params.f, tail_tol)
-    state = fockspace.build_silbey_harris(sh_params, cutoff, tail_tol)
+    plan = OraclePlan.coherent_product(sh_params.f, tail_tol)
+    state = fockspace.build_silbey_harris(sh_params, plan.cutoff, plan.tail_tol)
     dev = max(dev, abs(1.0 - state.norm() ** 2))
     record("builder-norm", dev, tail_tol)
 
@@ -403,10 +435,10 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     entropy_dev = 0.0
     for _ in range(5):
         disp = DisplacementParams(*(rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)))
-        cutoff = fockspace.coherent_product_cutoff((disp.alpha, disp.beta_b), tail_tol)
-        state = fockspace.build_coherent_two_mode(disp, cutoff, tail_tol)
+        plan = OraclePlan.coherent_product((disp.alpha, disp.beta_b), tail_tol)
+        state = fockspace.build_coherent_two_mode(disp, plan.cutoff, plan.tail_tol)
         rank_dev = max(rank_dev, float(spectra.schmidt_coefficients(state)[1]))
-        spectrum = _reduced_spectrum(state, spectra.DEFAULT_RANK_TOL)
+        spectrum = _reduced_spectrum(state, plan)
         for mu in (0.5, 1.0, 2.0, math.inf):
             entropy_dev = max(entropy_dev, abs(analytic.renyi_general(spectrum, mu)))
     record("coherent-rank-one", rank_dev, 1e-10)
@@ -434,14 +466,17 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     r_inv = 0.5
     disp = DisplacementParams(complex(rng.uniform(0.2, 0.5)), complex(rng.uniform(0.2, 0.5)))
     plain = oracle_squeezed_spectrum(r_inv, tail_tol=tail_tol)
-    displaced_state = build_displaced_squeezed(r_inv, disp, tail_tol=tail_tol)
-    displaced = _reduced_spectrum(displaced_state, 0.0)
+    displaced_plan = OraclePlan.displaced(r_inv, disp, tail_tol)
+    displaced_state = build_displaced_squeezed(r_inv, disp, displaced_plan)
+    displaced = _reduced_spectrum(displaced_state, displaced_plan)
+    # 6 levels beyond the plan: the reordering check compares amplitudes up to this cutoff
     reordered = fockspace.reordered_displacement(SqueezedStateParams(r_inv), disp)
-    cutoff = FockCutoff(displaced_state_cutoff(r_inv, reordered, tail_tol).n_max + 6)
+    plan = OraclePlan.displaced(r_inv, reordered, tail_tol)
+    cutoff = FockCutoff(plan.cutoff.n_max + 6)
     squeezed_coherent = fockspace.build_squeezed_coherent(
-        SqueezedStateParams(r_inv), disp, cutoff
+        SqueezedStateParams(r_inv), disp, cutoff, plan.leak_tol
     )
-    reordered_spectrum = _reduced_spectrum(squeezed_coherent, 0.0)
+    reordered_spectrum = _reduced_spectrum(squeezed_coherent, plan)
     dev = max(
         _padded_max_diff(plain.probabilities, displaced.probabilities),
         _padded_max_diff(plain.probabilities, reordered_spectrum.probabilities),
@@ -451,7 +486,7 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     # interchanging squeeze and displacement via the reordering identity
     padded = FockCutoff(cutoff.n_max + 14)
     vacuum_squeezed = fockspace.build_squeezed_vacuum(SqueezedStateParams(r_inv), padded, tail_tol)
-    right = fockspace.apply_two_mode_displacement(vacuum_squeezed, reordered)
+    right = fockspace.apply_two_mode_displacement(vacuum_squeezed, reordered, plan.leak_tol)
     dev = float(
         np.max(
             np.abs(
@@ -463,7 +498,7 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     record("squeeze-displace-reorder", dev, 1e-9)
 
     # both partitions carry the same spectrum
-    other_side = _reduced_spectrum(displaced_state, 0.0, keep_factor=1)
+    other_side = _reduced_spectrum(displaced_state, displaced_plan, keep_factor=1)
     record(
         "partition-symmetry",
         _padded_max_diff(displaced.probabilities, other_side.probabilities),
@@ -493,7 +528,7 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     dev = 0.0
     for r in np.linspace(0.05, 2.0, 20):
         model = thermo.oscillator_model_from_squeezing(float(r))
-        count = fockspace.squeezed_cutoff(float(r), tail_tol).n_max + 1
+        count = OraclePlan.squeezed(float(r), tail_tol).cutoff.dim
         spectrum = analytic.squeezed_entanglement_spectrum(float(r), count)
         report = thermo.verify_thermal_consistency(model, spectrum)
         dev = max(dev, report.max_weight_deviation, report.log_partition_deviation,

@@ -21,6 +21,7 @@ enters an array, and nothing is promoted afterwards.
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from ._stable import log_tanh
 from .exceptions import ContractError, DimensionError, MemoryBudgetError, TailMassError
 
 DEFAULT_TAIL_TOL = 1e-12
+DEFAULT_LEAK_TOL = 1e-10  # probability an applied operator may push onto the truncation boundary
 DEFAULT_MEM_BUDGET = 2 ** 28  # state entries or pair-squeeze work, not bytes
 _CHAIN_GROUP = 8  # pair-squeeze chains per operator_exponential call
 
@@ -331,8 +333,12 @@ def coherent_product_cutoff(amplitudes, tail_tol: float = DEFAULT_TAIL_TOL) -> F
     """Smallest common cutoff holding every mode's Poisson tail below tail_tol / len(amplitudes).
 
     That equal split is the coherent builders' tail rule; it keeps the product's norm
-    defect below ``tail_tol``.
+    defect below ``tail_tol``. An amplitude the builders cannot represent (see
+    ``coherent_amplitudes``) is a ValueError before any search, which would
+    otherwise take a step per occupation number near |alpha|^2.
     """
+    for amp in amplitudes:
+        _vacuum_coefficient(amp)
     per_mode = tail_tol / len(amplitudes)
     return FockCutoff(max(coherent_cutoff(amp, per_mode).n_max for amp in amplitudes))
 
@@ -359,11 +365,30 @@ def _check_squeezed_tail(r: float, cutoff: FockCutoff, tail_tol: float):
 # state builders
 # ---------------------------------------------------------------------------
 
+def _vacuum_coefficient(alpha: complex) -> float:
+    """e^{-|alpha|^2 / 2}; ValueError above |alpha| ~ 37.64, where it is subnormal.
+
+    The recurrence of ``coherent_amplitudes`` would start from it and lose the
+    state's norm, all of it once it is 0 (from |alpha| ~ 38.6).
+    """
+    vacuum = math.exp(-0.5 * abs(alpha) ** 2)
+    if vacuum < sys.float_info.min:
+        limit = math.sqrt(-2.0 * math.log(sys.float_info.min))
+        raise ValueError(
+            f"coherent amplitude |alpha| = {abs(alpha):g} is above {limit:.4g}, where "
+            "e^(-|alpha|^2/2) underflows float64"
+        )
+    return vacuum
+
+
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """Number-basis coefficients e^{-|alpha|^2 / 2} alpha^n / sqrt(n!); float64 for real alpha."""
+    """Number-basis coefficients e^{-|alpha|^2 / 2} alpha^n / sqrt(n!); float64 for real alpha.
+
+    ValueError for |alpha| above ~37.64, where e^{-|alpha|^2 / 2} underflows.
+    """
     alpha = _real_if_exact(alpha)
     out = np.empty(n_max + 1, dtype=type(alpha))
-    out[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    out[0] = _vacuum_coefficient(alpha)
     for n in range(1, n_max + 1):
         out[n] = out[n - 1] * alpha / math.sqrt(n)
     return out
@@ -484,7 +509,7 @@ def _phased(op: np.ndarray, amplitude: complex) -> np.ndarray:
 def apply_two_mode_displacement(
     state: ComplexAmplitudeTensor,
     params: DisplacementParams,
-    tail_tol: float = 1e-10,
+    tail_tol: float = DEFAULT_LEAK_TOL,
 ) -> ComplexAmplitudeTensor:
     """Displace each mode of a two-mode state by exponentiated ladder generators.
 
@@ -617,7 +642,7 @@ def build_squeezed_coherent(
     params_s: SqueezedStateParams,
     params_d: DisplacementParams,
     cutoff: FockCutoff,
-    tail_tol: float = 1e-10,
+    tail_tol: float = DEFAULT_LEAK_TOL,
 ) -> ComplexAmplitudeTensor:
     """Squeeze an already-displaced two-mode state, one conserved n_a - n_b sector at a time.
 

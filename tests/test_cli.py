@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mek import analytic, cli, spectra, thermo
+from mek import analytic, cli, fockspace, spectra, thermo
 from mek.cli import (
     SweepConfig,
     SWEEP_HEADER,
@@ -15,7 +15,6 @@ from mek.cli import (
     THERMO_HEADER,
     parse_grid,
     parse_mu_list,
-    power_aware_tail_tol,
     render_output,
     run_sweep,
     run_thermo_table,
@@ -34,12 +33,21 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_grid(" , ")
 
+    @pytest.mark.parametrize("grid", ["1:2", "1:2:-1"])
+    def test_malformed_range_names_the_form(self, grid, capsys):
+        # a missing or negative count used to surface as an unpacking or numpy message
+        assert cli.main(["sweep", "--grid", grid, "--mu", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"mek: grid '{grid}' must read 'start:stop:count' with a count >= 1\n"
+        )
+
     def test_mu_list(self):
         assert parse_mu_list("0.5,1,inf") == [0.5, 1.0, math.inf]
 
     def test_power_aware_tail(self):
-        assert power_aware_tail_tol(1e-12, [1.0, 2.0, math.inf]) == 1e-12
-        assert power_aware_tail_tol(1e-12, [0.5, 2.0]) == pytest.approx(1e-24, rel=1e-6)
+        assert cli.OraclePlan.squeezed(0.5, 1e-12, [1.0, 2.0, math.inf]).tail_tol == 1e-12
+        plan = cli.OraclePlan.squeezed(0.5, 1e-12, [0.5, 2.0])
+        assert plan.tail_tol == pytest.approx(1e-24, rel=1e-6)
 
 
 class TestSweepConfig:
@@ -93,6 +101,67 @@ class TestFamilyTable:
             probs = family.oracle(family.params(0.1), config).probabilities
             assert np.all(probs >= 0.0), name
             assert abs(float(np.sum(probs)) - 1.0) < 1e-10, name
+
+
+class TestOraclePlan:
+    def test_rules_keep_their_cutoffs(self):
+        # n_max of each rule as recorded before the rules moved into the plan
+        tol = fockspace.DEFAULT_TAIL_TOL
+        rules = cli.OraclePlan
+
+        def n_max(plans):
+            return [p.cutoff.n_max for p in plans]
+
+        squeezed = [rules.squeezed(r, tol, [1.0]) for r in (0.5, 1.0, 1.5)]
+        assert n_max(squeezed) == [17, 50, 138]
+        assert n_max(rules.squeezed(r, tol, [0.5, 1.0]) for r in (0.5, 1.0, 1.5)) == [35, 101, 277]
+        displaced = [rules.displaced(r, cli.SWEEP_DISPLACEMENT, tol) for r in (0.0, 0.5, 1.0, 1.5)]
+        assert n_max(displaced) == [13, 30, 63, 151]
+        coherent = map(cli.FAMILY_TABLE["coherent"].params, (0.0, 1.0, 3.0))
+        products = [rules.coherent_product((d.alpha, d.beta_b), tol) for d in coherent]
+        assert n_max(products) == [0, 14, 38]
+        sh = map(cli.FAMILY_TABLE["silbey-harris"].params, (0.5, 1.5, 3.0))
+        assert n_max(rules.coherent_product(params.f, tol) for params in sh) == [9, 13, 17]
+        for p in squeezed + displaced:
+            assert (p.tail_tol, p.leak_tol, p.rank_tol) == (tol, 1e-10, 0.0)
+        for p in products:
+            assert (p.tail_tol, p.leak_tol, p.rank_tol) == (tol, 1e-10, spectra.DEFAULT_RANK_TOL)
+
+    @pytest.mark.parametrize("family, fields", [
+        ("squeezed", {"build_squeezed_vacuum": "tail_tol"}),
+        ("displaced-squeezed", {"build_squeezed_vacuum": "tail_tol",
+                                "apply_two_mode_displacement": "leak_tol"}),
+        ("squeezed-coherent", {"build_squeezed_coherent": "leak_tol"}),
+        ("coherent", {"build_coherent_two_mode": "tail_tol"}),
+        ("silbey-harris", {"build_silbey_harris": "tail_tol"}),
+    ])
+    def test_builders_take_every_tolerance_from_the_plan(self, family, fields, monkeypatch):
+        # a builder default reached from an oracle would be a second place
+        # deciding the truncation
+        received, plans = [], []
+        for name in fields:
+            original = getattr(fockspace, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                bound = inspect.signature(_original).bind(*args, **kwargs).arguments
+                received.append((_name, bound.get("tail_tol"), bound.get("cutoff")))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fockspace, name, recording)
+        reduce = cli._reduced_spectrum
+
+        def capturing(state, plan, keep_factor=0):
+            plans.append(plan)
+            return reduce(state, plan, keep_factor)
+
+        monkeypatch.setattr(cli, "_reduced_spectrum", capturing)
+        run_sweep(SweepConfig(family, [0.3], [0.5, 1.0], oracle=True, tail_tolerance=1e-11))
+        [plan] = plans
+        assert plan.tail_tol != plan.leak_tol
+        assert [name for name, _, _ in received] == list(fields)
+        for name, tol, cutoff in received:
+            assert tol == getattr(plan, fields[name]), name
+            assert cutoff in (None, plan.cutoff), name
 
 
 class TestReducedSpectrum:
@@ -324,6 +393,31 @@ class TestMainEntry:
         assert code == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert all(float(row.split(",")[-1]) < cli.ORACLE_DEV_LIMIT for row in rows)
+
+    @pytest.mark.parametrize("grid", ["38.5", "100"])
+    def test_underflowing_coherent_amplitude_is_named(self, grid, capsys):
+        # e^{-|alpha|^2/2} leaves the normal float range above |alpha| ~ 37.64;
+        # the trace check used to blame the state's normalization instead
+        code = cli.main(["sweep", "--family", "coherent", "--oracle", "--grid", grid,
+                         "--mu", "0.5,1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"mek: coherent amplitude |alpha| = {grid} is above 37.64, "
+            "where e^(-|alpha|^2/2) underflows float64\n"
+        )
+
+    @pytest.mark.parametrize("grid", ["1000", "1e6"])
+    def test_huge_coherent_amplitude_exits_before_the_cutoff_search(self, grid, monkeypatch,
+                                                                     capsys):
+        # the search steps once per occupation number near |alpha|^2 (22.7 s at
+        # 3000, unbounded at 1e6); the amplitude limit must stop it first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cutoff search ran")
+
+        monkeypatch.setattr(fockspace, "coherent_tail_mass", forbidden)
+        code = cli.main(["sweep", "--family", "coherent", "--oracle", "--grid", grid])
+        assert code == 2
+        assert "is above 37.64" in capsys.readouterr().err
 
     def test_unwritable_path(self, tmp_path, capsys):
         code = cli.main(

@@ -279,6 +279,15 @@ class TestCoherentBuilder:
         assert abs(1.0 - state.norm() ** 2) < 1e-12
         assert state.tail_mass < 1e-12
 
+    @pytest.mark.parametrize("alpha", [37.65, 38.5j, 100.0])
+    def test_underflowing_vacuum_coefficient_is_refused(self, alpha):
+        # e^{-|alpha|^2/2} is subnormal above 37.64, and the recurrence would
+        # start from it; both the builders and the cutoff rule refuse the amplitude
+        with pytest.raises(ValueError, match=r"\|alpha\| = .* is above 37\.64"):
+            coherent_amplitudes(alpha, 3)
+        with pytest.raises(ValueError, match="underflows float64"):
+            coherent_product_cutoff((0.5, alpha))
+
     def test_tail_error_reports_requirement(self):
         with pytest.raises(TailMassError) as err:
             build_coherent_two_mode(DisplacementParams(2.0, 0.0), FockCutoff(4))
@@ -464,7 +473,8 @@ class TestDisplacementRoute:
             apply_two_mode_displacement(state, params)
             assert calls == [((51, 51), 2)]
         calls.clear()
-        cli.build_displaced_squeezed(1.0, cli.SWEEP_DISPLACEMENT)
+        plan = cli.OraclePlan.displaced(1.0, cli.SWEEP_DISPLACEMENT, fockspace.DEFAULT_TAIL_TOL)
+        cli.build_displaced_squeezed(1.0, cli.SWEEP_DISPLACEMENT, plan)
         assert len(calls) == 1
 
 
@@ -576,11 +586,12 @@ class TestDtypeRule:
     def test_real_parameters_stay_float64(self):
         cutoff = FockCutoff(30)
         disp = DisplacementParams(0.5, 0.3)
+        plan = cli.OraclePlan.displaced(1.0, cli.SWEEP_DISPLACEMENT, fockspace.DEFAULT_TAIL_TOL)
         builds = (
             build_squeezed_vacuum(SqueezedStateParams(0.6), cutoff),
             build_coherent_two_mode(disp, cutoff),
             build_squeezed_coherent(SqueezedStateParams(0.4), disp, cutoff),
-            cli.build_displaced_squeezed(1.0, cli.SWEEP_DISPLACEMENT),
+            cli.build_displaced_squeezed(1.0, cli.SWEEP_DISPLACEMENT, plan),
             build_silbey_harris(SHParams((0.3, 0.4)), FockCutoff(12)),
         )
         for state in builds:
