@@ -69,11 +69,14 @@ class SweepConfig:
 def parse_grid(text: str) -> list:
     """Parse 'start:stop:count' (inclusive linspace) or a comma list of values."""
     if ":" in text:
-        fields = text.split(":")
-        if len(fields) != 3 or int(fields[2]) < 1:
+        try:
+            start, stop, count = text.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:  # a field missing, or one that is not a number
+            count = 0
+        if count < 1:
             raise ValueError(f"grid {text!r} must read 'start:stop:count' with a count >= 1")
-        start, stop, count = fields
-        return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
+        return [float(v) for v in np.linspace(start, stop, count)]
     values = [float(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"empty grid specification {text!r}")

@@ -1,16 +1,17 @@
 """Exact construction of composite bosonic states in truncated occupation bases.
 
-States are dense coefficient arrays built from raw ladder matrices and matrix
+States are coefficient arrays built from raw ladder matrices and matrix
 exponentials, with analytic tail bounds guarding every truncation. The
-generators the builders exponentiate (displacements and pair-squeeze chains)
-couple only indices of opposite parity, and ``operator_exponential`` turns
-such a generator into its exponential through one half-size SVD. Every
-displacement generator alpha a^dag - alpha^* a is the real a^dag - a scaled
-by |alpha| and rotated by the phase of alpha, so a two-mode displacement
-decomposes a^dag - a once and applies the phases entrywise. The point
-of this module is to be dumb and obviously correct: it is the independent
-numerical route against which the closed forms in :mod:`mek.analytic` are
-checked, so it must not share any formula with them.
+pair-squeezed vacuum, born in Schmidt form, is kept as its d Schmidt
+coefficients. The generators the builders exponentiate (displacements and
+pair-squeeze chains) couple only indices of opposite parity, and
+``operator_exponential`` turns such a generator into its exponential through
+one half-size SVD. Every displacement generator alpha a^dag - alpha^* a is the
+real a^dag - a scaled by |alpha| and rotated by the phase of alpha, so a
+two-mode displacement decomposes a^dag - a once and applies the phases
+entrywise. The point of this module is to be dumb and obviously correct: it is
+the independent numerical route against which the closed forms in
+:mod:`mek.analytic` are checked, so it must not share any formula with them.
 
 The dtype follows the data: a build whose parameters are all real (squeezing
 angle 0, real displacements, every qubit-boson state) gives float64 arrays
@@ -118,31 +119,40 @@ class SHParams:
         return math.fsum(x * x for x in self.f)
 
 
-@dataclass
 class ComplexAmplitudeTensor:
-    """Dense coefficient array of a pure state over truncated occupation bases.
+    """Coefficient array of a pure state over truncated occupation bases.
 
-    ``amplitudes`` is indexed by per-factor occupation numbers and has shape
-    ``mode_dims``. It is stored as float64 when the input is real (or
-    integer) and as complex128 when it is complex; real amplitudes are a
-    complex state whose imaginary parts are all exactly zero. ``tail_mass``
-    records the probability weight the truncation neglects (1 - <psi|psi>, or
-    the measured boundary contamination after an operator was applied in the
-    truncated space).
+    ``amplitudes`` has shape ``mode_dims`` (one axis per factor's occupation
+    number), float64 for real or integer input and complex128 for complex.
+    ``tail_mass`` is the probability the truncation neglects: 1 - <psi|psi>,
+    or the boundary contamination measured after an operator acted. A state
+    built in Schmidt form (``build_squeezed_vacuum``) stores only ``schmidt``,
+    its diagonal amplitudes psi_nn, and ``amplitudes`` builds diag(schmidt) on
+    first read; for every other state ``schmidt`` is None.
     """
 
-    amplitudes: np.ndarray
-    mode_dims: tuple
-    tail_mass: float
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
-        self.mode_dims = tuple(int(d) for d in self.mode_dims)
-        if self.amplitudes.shape != self.mode_dims:
+    def __init__(self, amplitudes: np.ndarray, mode_dims: tuple, tail_mass: float):
+        amps = np.asarray(amplitudes)
+        self.mode_dims = tuple(int(d) for d in mode_dims)
+        if amps.shape != self.mode_dims:
             raise DimensionError(
-                f"amplitude shape {self.amplitudes.shape} does not match mode_dims {self.mode_dims}"
+                f"amplitude shape {amps.shape} does not match mode_dims {self.mode_dims}"
             )
+        self._amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
+        self.tail_mass, self.schmidt = tail_mass, None
+
+    @classmethod
+    def _from_schmidt(cls, schmidt: np.ndarray, tail_mass: float) -> "ComplexAmplitudeTensor":
+        state = cls.__new__(cls)
+        state._amplitudes, state.schmidt = None, schmidt
+        state.mode_dims, state.tail_mass = (schmidt.size,) * 2, tail_mass
+        return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._amplitudes is None:
+            self._amplitudes = np.diag(self.schmidt)
+        return self._amplitudes
 
     def norm(self) -> float:
         """Euclidean norm sqrt(<psi|psi>)."""
@@ -152,15 +162,6 @@ class ComplexAmplitudeTensor:
 # ---------------------------------------------------------------------------
 # ladder operators and matrix exponential
 # ---------------------------------------------------------------------------
-
-def _is_diagonal_only(matrix: np.ndarray) -> bool:
-    """True for a square matrix with no nonzero off-diagonal entry.
-
-    NaN and inf count as nonzero, so a non-finite off-diagonal entry fails.
-    """
-    rows, cols = matrix.shape
-    return rows == cols and np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal())
-
 
 def _real_if_exact(value: complex):
     """``value`` as a float when its imaginary part is exactly 0, else as a complex.
@@ -437,8 +438,9 @@ def build_squeezed_vacuum(
     cutoff: FockCutoff,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ComplexAmplitudeTensor:
-    """Pair-squeezed vacuum: diagonal tensor e^{i n theta} tanh^n r / cosh r; real at theta = 0."""
+    """Pair-squeezed vacuum in Schmidt form, stored as psi_nn = e^{i n theta} tanh^n r / cosh r."""
     _check_tol(tail_tol)
+    # reading ``amplitudes`` builds the dense d x d array, so the dim^2 budget stays
     _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     _check_squeezed_tail(params.r, cutoff, tail_tol)
     if params.r == 0.0:
@@ -451,7 +453,7 @@ def build_squeezed_vacuum(
             exponent = exponent + 1j * ns * params.theta
         schmidt = np.exp(exponent)
     tail_mass = max(0.0, 1.0 - float(np.vdot(schmidt, schmidt).real))
-    return ComplexAmplitudeTensor(np.diag(schmidt), (cutoff.dim, cutoff.dim), tail_mass)
+    return ComplexAmplitudeTensor._from_schmidt(schmidt, tail_mass)
 
 
 def displacement_generator(alpha: complex, n_max: int) -> np.ndarray:
@@ -538,10 +540,9 @@ def apply_two_mode_displacement(
             for dim, amp in zip(state.mode_dims, amplitudes)
         ]
     op_a, op_b = (_phased(op, amp) for op, amp in zip(unphased, amplitudes))
-    if _is_diagonal_only(state.amplitudes):  # op_a diag(s) = op_a * s, bit for bit
-        amps = (op_a * state.amplitudes.diagonal()) @ op_b.T
-    else:
-        amps = op_a @ state.amplitudes @ op_b.T
+    # op_a diag(s) = op_a * s, bit for bit, with no d x d state
+    left = op_a @ state.amplitudes if state.schmidt is None else op_a * state.schmidt
+    amps = left @ op_b.T
     leak = _check_boundary_leak(amps, tail_tol, "displacement")
     tail_mass = max(state.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, state.mode_dims, tail_mass)

@@ -3,10 +3,10 @@
 Eigenvalues and singular values come from LAPACK through numpy
 (``eigvalsh`` and ``svd``); this module adds the contract checks around them:
 squareness, Hermiticity, and the round-off window for negative eigenvalues.
-A reduction that is exactly diagonal (a state already in Schmidt form, such as
-the two-mode squeezed vacuum) is detected once, in ``partial_trace``, and
-carried as its real diagonal alone: it is checked and read off in O(d), with
-no d x d matrix, no O(d^3) product and no solve.
+A state stored in Schmidt form (the two-mode squeezed vacuum, see
+``ComplexAmplitudeTensor``) is reduced from its Schmidt vector in
+``partial_trace`` and carried as its real diagonal alone: it is checked and
+read off in O(d), with no d x d matrix, no scan, no O(d^3) product, no solve.
 
 Real amplitudes give a real symmetric rho (float64), which goes through the
 same calls to LAPACK's real kernels; complex amplitudes give a complex
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DimensionError
-from .fockspace import ComplexAmplitudeTensor, _is_diagonal_only
+from .fockspace import ComplexAmplitudeTensor
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -86,21 +86,21 @@ def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDen
     """Trace out every tensor factor except ``keep_factor``.
 
     Returns rho with entries sum_j psi(kept=i, j) psi^*(kept=i', j), where j
-    runs over the joint index of all traced factors. A square unfolding with
-    no nonzero off-diagonal amplitude (a state already in Schmidt form, such
-    as the two-mode squeezed vacuum) gives the diagonal rho_ii = |psi_ii|^2,
-    kept as a float64 vector of d entries: no d x d matrix and no O(d^3)
-    product, and the Hermiticity check, exactly 0 there, is skipped. Any
-    other state takes the product, in the amplitudes' dtype.
+    runs over the joint index of all traced factors. A state stored in
+    Schmidt form (``state.schmidt``, such as the two-mode squeezed vacuum)
+    gives, for either factor, the diagonal rho_nn = |psi_nn|^2 from that
+    vector alone, kept as a float64 vector of d entries: no d x d matrix, no
+    scan and no O(d^3) product, and the Hermiticity check, exactly 0 there,
+    is skipped. Any other state, a diagonal one built by hand included, takes
+    the product, in the amplitudes' dtype.
     """
-    unfolded = _unfold(state, keep_factor)
-    if _is_diagonal_only(unfolded):
-        schmidt = unfolded.diagonal()
+    schmidt = state.schmidt
+    if schmidt is not None and keep_factor in (0, 1):
         diagonal = schmidt.real**2 + schmidt.imag**2
         trace = float(np.sum(diagonal))
         rho = ReducedDensityMatrix._from_diagonal(diagonal)
-    else:
-        unfolded = np.ascontiguousarray(unfolded)
+    else:  # an out-of-range factor raises in _unfold, before any amplitude is read
+        unfolded = np.ascontiguousarray(_unfold(state, keep_factor))
         entries = unfolded @ unfolded.conj().T
         # written as "not defect < tol" so that a NaN defect fails the check
         herm_defect = _hermiticity_defect(entries)
@@ -124,14 +124,13 @@ def hermitian_eigenvalues(
 ) -> EntanglementSpectrum:
     """Full eigenvalue set of a Hermitian reduced matrix, sorted descending.
 
-    A diagonal reduction from ``partial_trace`` returns its real diagonal,
-    sorted, in O(d log d); the squeezed-vacuum reductions are exactly
-    diagonal, and this skips both the d x d matrix and an O(d^3) solve on
-    them. Any other input goes to LAPACK's Hermitian eigenvalue solver in
-    its own dtype: the real symmetric solver for real input, the complex
-    Hermitian one for complex input. Non-finite entries are an error.
-    Negative round-off above -1e-10 is clamped to zero; anything below is an
-    error.
+    A diagonal reduction from ``partial_trace`` (of a state in Schmidt form)
+    returns its real diagonal, sorted, in O(d log d), with no d x d matrix
+    and no O(d^3) solve. Any other input goes to LAPACK's Hermitian
+    eigenvalue solver in its own dtype: the real symmetric solver for real
+    input, the complex Hermitian one for complex input. Non-finite entries
+    are an error. Negative round-off above -1e-10 is clamped to zero;
+    anything below is an error.
     """
     if rho._diagonal is not None:
         # LAPACK is not reached, but a NaN would still sort as a probability

@@ -41,6 +41,15 @@ class TestParsing:
             f"mek: grid '{grid}' must read 'start:stop:count' with a count >= 1\n"
         )
 
+    @pytest.mark.parametrize("grid", ["1:2:1.5", "1:2:1e9", "1:x:3", "x:2:3", "1:2:x"])
+    def test_unparsable_range_names_the_form(self, grid, capsys):
+        # a count that is not an integer, or a bound that is not a number,
+        # used to surface as Python's int() or float() message
+        assert cli.main(["sweep", "--grid", grid, "--mu", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"mek: grid '{grid}' must read 'start:stop:count' with a count >= 1\n"
+        )
+
     def test_mu_list(self):
         assert parse_mu_list("0.5,1,inf") == [0.5, 1.0, math.inf]
 

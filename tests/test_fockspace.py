@@ -344,6 +344,18 @@ class TestSqueezedBuilder:
             np.diag(rotated.amplitudes), phases * np.diag(flat.amplitudes), atol=1e-15
         )
 
+    @pytest.mark.parametrize("theta, dtype", [(0.0, np.float64), (1.1, np.complex128)])
+    def test_amplitudes_are_the_schmidt_diagonal(self, theta, dtype):
+        # stored as its Schmidt vector; the dense diag(s) is built on first read
+        state = build_squeezed_vacuum(SqueezedStateParams(0.8, theta), FockCutoff(40))
+        assert state.schmidt.dtype == dtype and state.schmidt.shape == (41,)
+        amps = state.amplitudes
+        assert amps.dtype == dtype and amps.shape == state.mode_dims == (41, 41)
+        assert amps.tobytes() == np.diag(state.schmidt).tobytes()
+        assert state.amplitudes is amps
+        # the norm is taken over the dense array, as for every other state
+        assert state.norm() == float(np.linalg.norm(np.diag(state.schmidt).ravel()))
+
     def test_tail_error(self):
         with pytest.raises(TailMassError) as err:
             build_squeezed_vacuum(SqueezedStateParams(2.0), FockCutoff(20))
@@ -437,10 +449,11 @@ class TestDisplacementRoute:
             assert np.max(np.abs(out.amplitudes - self.per_mode_eigh(state, params))) < 1e-13
 
     @pytest.mark.parametrize("dim", [14, 64, 266])
-    def test_diagonal_state_skips_the_dense_product(self, dim, monkeypatch):
-        # (op_a * s) @ op_b.T on a real Schmidt diagonal s gives the dense
-        # product op_a @ diag(s) @ op_b.T bit for bit, for real and complex
-        # displacements; a complex s agrees to round-off
+    def test_diagonal_state_skips_the_dense_product(self, dim):
+        # (op_a * s) @ op_b.T on a real Schmidt vector s gives the dense
+        # product op_a @ diag(s) @ op_b.T of the same state built by hand bit
+        # for bit, for real and complex displacements; a complex s agrees to
+        # round-off
         cases = [
             (SqueezedStateParams(0.6), DisplacementParams(0.5, -0.3), True),
             (SqueezedStateParams(0.6), DisplacementParams(0.4 - 0.2j, 0.3j), True),
@@ -448,10 +461,10 @@ class TestDisplacementRoute:
         ]
         for params_s, params_d, bitwise in cases:
             state = build_squeezed_vacuum(params_s, FockCutoff(dim - 1), 1e-3)
+            by_hand = ComplexAmplitudeTensor(np.diag(state.schmidt), state.mode_dims, 0.0)
+            assert by_hand.schmidt is None
             diagonal = apply_two_mode_displacement(state, params_d, tail_tol=math.inf)
-            with monkeypatch.context() as patch:
-                patch.setattr(fockspace, "_is_diagonal_only", lambda matrix: False)
-                dense = apply_two_mode_displacement(state, params_d, tail_tol=math.inf)
+            dense = apply_two_mode_displacement(by_hand, params_d, tail_tol=math.inf)
             assert diagonal.amplitudes.dtype == dense.amplitudes.dtype
             if bitwise:
                 np.testing.assert_array_equal(diagonal.amplitudes, dense.amplitudes)

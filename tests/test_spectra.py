@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mek import analytic, spectra
+from mek import analytic
 from mek.exceptions import ContractError, DimensionError
 from mek.fockspace import (
     ComplexAmplitudeTensor,
@@ -61,15 +61,18 @@ class TestPartialTrace:
         assert np.max(np.abs(rho.entries.imag)) < 1e-15
 
     def test_invalid_factor(self):
-        state = build_coherent_two_mode(DisplacementParams(0.1, 0.0), FockCutoff(10))
-        with pytest.raises(DimensionError):
-            partial_trace(state, 2)
+        dense = build_coherent_two_mode(DisplacementParams(0.1, 0.0), FockCutoff(10))
+        schmidt_form = build_squeezed_vacuum(SqueezedStateParams(0.8), FockCutoff(40))
+        for state in (dense, schmidt_form):
+            for keep_factor in (2, -1):
+                with pytest.raises(DimensionError, match="out of range for 2 tensor factors"):
+                    partial_trace(state, keep_factor)
 
     @pytest.mark.parametrize("keep_factor", [0, 1])
     @pytest.mark.parametrize("off_diagonal", [0.0, 1e-3])
     def test_matches_amplitude_product(self, keep_factor, off_diagonal):
-        # a squeezed vacuum is already in Schmidt form, so its reduction is
-        # exactly diagonal; one off-diagonal amplitude sends it through the product
+        # built by hand, a state takes the product whether or not its
+        # unfolding is diagonal (the Schmidt route is in TestDiagonalRoute)
         amps = build_squeezed_vacuum(SqueezedStateParams(0.8, 1.1), FockCutoff(40)).amplitudes
         amps = amps.copy()
         amps[2, 5] += off_diagonal
@@ -83,8 +86,8 @@ class TestPartialTrace:
         assert (off_nonzero == 0) == (off_diagonal == 0.0)
 
     def test_unnormalized_state_rejected(self):
-        # a diagonal state: the trace check runs on sum |psi_ii|^2, with the
-        # tolerance and message of the dense route
+        # the Schmidt route checks sum |psi_nn|^2 with the same tolerance and
+        # message (TestDiagonalRoute)
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 0] = 0.5
         bad = ComplexAmplitudeTensor(amps, (3, 3), 0.0)
@@ -108,16 +111,20 @@ class TestDiagonalRoute:
     """A reduction in Schmidt form carries only its real diagonal |psi_ii|^2."""
 
     def test_reduction_allocates_no_dense_matrix(self):
-        state = build_squeezed_vacuum(SqueezedStateParams(2.5), squeezed_cutoff(2.5))
-        dim = state.mode_dims[0]
+        # the state is stored as its Schmidt vector and reduced from it: no
+        # d x d array is built at any step, and none is scanned
+        r = 2.5
+        cutoff = squeezed_cutoff(r)
         tracemalloc.start()
         try:
+            state = build_squeezed_vacuum(SqueezedStateParams(r), cutoff)
             spectrum = hermitian_eigenvalues(partial_trace(state, 0), rank_tolerance=0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        dim = cutoff.dim
         assert spectrum.probabilities.size == dim
-        assert peak < 64 * dim, f"peak {peak} bytes at d = {dim}; a dense rho is {8 * dim * dim}"
+        assert peak < 64 * dim, f"peak {peak} bytes at d = {dim}; a dense state is {8 * dim * dim}"
 
     @pytest.mark.parametrize("theta", [0.0, 1.1])
     def test_entries_are_the_float64_diagonal(self, theta):
@@ -129,21 +136,36 @@ class TestDiagonalRoute:
         assert entries.shape == expected.shape
         assert entries.tobytes() == expected.tobytes()
 
-    def test_one_diagonal_scan_per_reduction(self, monkeypatch):
-        # partial_trace decides once; hermitian_eigenvalues does not scan rho again
-        scans = []
-        original = spectra._is_diagonal_only
+    @pytest.mark.parametrize("theta", [0.0, 1.1])
+    def test_either_factor_matches_the_dense_product(self, theta):
+        # the same state built by hand as a dense diagonal goes through the product
+        state = build_squeezed_vacuum(SqueezedStateParams(0.8, theta), FockCutoff(40))
+        by_hand = ComplexAmplitudeTensor(np.diag(state.schmidt), state.mode_dims, 0.0)
+        for keep_factor in (0, 1):
+            rho = partial_trace(state, keep_factor).entries
+            dense = partial_trace(by_hand, keep_factor).entries
+            assert rho.dtype == np.float64
+            np.testing.assert_allclose(rho, dense, rtol=0.0, atol=1e-16)
 
-        def counting(matrix):
-            scans.append(matrix.shape)
-            return original(matrix)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_schmidt_vector_rejected(self, bad):
+        # the trace check fails closed on the Schmidt route too, and so does
+        # the finiteness check on a diagonal reduction
+        state = build_squeezed_vacuum(SqueezedStateParams(0.8, 1.1), FockCutoff(40))
+        state.schmidt[3] = bad
+        with pytest.raises(ContractError, match="trace deviates from 1"):
+            partial_trace(state, 0)
+        diagonal = ReducedDensityMatrix._from_diagonal(np.abs(state.schmidt) ** 2)
+        with pytest.raises(ContractError, match="non-finite"):
+            hermitian_eigenvalues(diagonal)
 
-        monkeypatch.setattr(spectra, "_is_diagonal_only", counting)
-        for params in (SqueezedStateParams(0.8), SqueezedStateParams(0.8, 1.1)):
-            scans.clear()
-            state = build_squeezed_vacuum(params, FockCutoff(40))
-            hermitian_eigenvalues(partial_trace(state, 0), rank_tolerance=0.0)
-            assert scans == [(41, 41)]
+    def test_unnormalized_schmidt_vector_rejected(self):
+        state = build_squeezed_vacuum(SqueezedStateParams(0.8), FockCutoff(40))
+        state.schmidt[0] *= 0.5
+        deficit = abs(1.0 - float(np.sum(state.schmidt**2)))
+        message = rf"^reduced matrix trace deviates from 1 by {deficit:.3e}; "
+        with pytest.raises(ContractError, match=message):
+            partial_trace(state, 0)
 
 
 class TestHermitianEigenvalues:
@@ -237,7 +259,6 @@ class TestHermitianEigenvalues:
     def test_real_nan_off_diagonal_is_not_diagonal(self):
         entries = np.diag([0.5, 0.5])
         entries[0, 1] = math.nan
-        assert not spectra._is_diagonal_only(entries)
         with pytest.raises(ContractError):
             hermitian_eigenvalues(ReducedDensityMatrix(entries))
 
