@@ -182,12 +182,16 @@ def oracle_displaced_squeezed_spectrum(
 
 
 def oracle_squeezed_coherent_spectrum(
-    r, disp, tail_tol=fockspace.DEFAULT_TAIL_TOL
+    r, disp, tail_tol=fockspace.DEFAULT_TAIL_TOL, mu_list=()
 ) -> spectra.EntanglementSpectrum:
-    plan = OraclePlan.displaced(r, disp, tail_tol)
-    # the builder holds its tails and its boundary leak to one tolerance, and
-    # the pair squeeze leaks more than tail_tol on this cutoff
-    state = fockspace.build_squeezed_coherent(SqueezedStateParams(r), disp, plan.cutoff, plan.leak_tol)
+    # S D(alpha, beta)|0> = D(alpha', beta') S|0>: pad for the reordered
+    # displacement, on the squeezed rule's tail for orders below 1
+    params = SqueezedStateParams(r)
+    reordered = fockspace.reordered_displacement(params, disp)
+    plan = OraclePlan.displaced(r, reordered, OraclePlan.squeezed(r, tail_tol, mu_list).tail_tol)
+    # the mass outside this box still exceeds its occupation tail, so the
+    # builder holds it to the leak tolerance
+    state = fockspace.build_squeezed_coherent(params, disp, plan.cutoff, plan.leak_tol)
     return _reduced_spectrum(state, plan)
 
 
@@ -263,7 +267,7 @@ FAMILY_TABLE = {
     ),
     "squeezed-coherent": _squeezed_family(
         lambda r, config: oracle_squeezed_coherent_spectrum(
-            r, SWEEP_DISPLACEMENT, config.tail_tolerance
+            r, SWEEP_DISPLACEMENT, config.tail_tolerance, config.mu_list
         )
     ),
     # grid is |alpha|; a product state, so every entropy vanishes and the
@@ -412,8 +416,8 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
 
     # exponentials of CS-form generators [[0, A], [-A^H, 0]] (even/odd order)
     # are unitary: three random ones, and the ones the oracles build (a complex
-    # displacement, a complex pair-squeeze chain stack, and the scaled real
-    # displacement stack of a two-mode displacement)
+    # displacement, and the scaled real displacement stack of a two-mode
+    # displacement)
     gens = []
     for _ in range(3):
         raw = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
@@ -422,7 +426,6 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
         gen[1::2, ::2] = -np.conj(raw[::2, 1::2]).T
         gens.append(gen)
     gens.append(fockspace.displacement_generator(1.2 - 0.7j, 199))
-    gens.append(fockspace.pair_chain_stack(0.8 * complex(math.cos(1.1), math.sin(1.1)), 60, 0))
     unitaries = [fockspace.operator_exponential(gen) for gen in gens]
     unitaries.append(fockspace.operator_exponential(
         fockspace.displacement_generator(1.0, 199), scales=(0.5, 1.4)
@@ -490,14 +493,8 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     padded = FockCutoff(cutoff.n_max + 14)
     vacuum_squeezed = fockspace.build_squeezed_vacuum(SqueezedStateParams(r_inv), padded, tail_tol)
     right = fockspace.apply_two_mode_displacement(vacuum_squeezed, reordered, plan.leak_tol)
-    dev = float(
-        np.max(
-            np.abs(
-                squeezed_coherent.amplitudes
-                - right.amplitudes[: cutoff.dim, : cutoff.dim]
-            )
-        )
-    )
+    block = right.amplitudes[: cutoff.dim, : cutoff.dim]
+    dev = float(np.max(np.abs(squeezed_coherent.amplitudes - block)))
     record("squeeze-displace-reorder", dev, 1e-9)
 
     # both partitions carry the same spectrum

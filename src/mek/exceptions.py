@@ -15,7 +15,7 @@ class TailMassError(ValueError):
 
 
 class MemoryBudgetError(RuntimeError):
-    """Oracle over MEK_MEM_BUDGET: dim^2 or 2 dim^n entries, or pair-squeeze work sum g L^3."""
+    """Oracle state over MEK_MEM_BUDGET entries: dim^2 for two modes, 2 dim^n for qubit-boson."""
 
 
 class ContractError(ValueError):

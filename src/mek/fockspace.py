@@ -1,17 +1,19 @@
 """Exact construction of composite bosonic states in truncated occupation bases.
 
-States are coefficient arrays built from raw ladder matrices and matrix
-exponentials, with analytic tail bounds guarding every truncation. The
-pair-squeezed vacuum, born in Schmidt form, is kept as its d Schmidt
-coefficients. The generators the builders exponentiate (displacements and
-pair-squeeze chains) couple only indices of opposite parity, and
-``operator_exponential`` turns such a generator into its exponential through
-one half-size SVD. Every displacement generator alpha a^dag - alpha^* a is the
-real a^dag - a scaled by |alpha| and rotated by the phase of alpha, so a
-two-mode displacement decomposes a^dag - a once and applies the phases
-entrywise. The point of this module is to be dumb and obviously correct: it is
-the independent numerical route against which the closed forms in
-:mod:`mek.analytic` are checked, so it must not share any formula with them.
+States are coefficient arrays built from raw ladder matrices, matrix
+exponentials and exact recurrences, with analytic tail bounds guarding every
+truncation. The pair-squeezed vacuum, born in Schmidt form, is kept as its d
+Schmidt coefficients. The squeezed coherent state S(z) D(alpha, beta)|0, 0>
+comes from the su(1,1) disentangled form of S(z) as a row recurrence that is
+exact on every kept entry. The displacement generators couple only indices of
+opposite parity, and ``operator_exponential`` turns such a generator into its
+exponential through one half-size SVD. Every displacement generator
+alpha a^dag - alpha^* a is the real a^dag - a scaled by |alpha| and rotated by
+the phase of alpha, so a two-mode displacement decomposes a^dag - a once and
+applies the phases entrywise. The point of this module is to be dumb and
+obviously correct: it is the independent numerical route against which the
+closed forms in :mod:`mek.analytic` are checked, so it must not share any
+formula with them.
 
 The dtype follows the data: a build whose parameters are all real (squeezing
 angle 0, real displacements, every qubit-boson state) gives float64 arrays
@@ -32,14 +34,14 @@ from .exceptions import ContractError, DimensionError, MemoryBudgetError, TailMa
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_LEAK_TOL = 1e-10  # probability an applied operator may push onto the truncation boundary
-DEFAULT_MEM_BUDGET = 2 ** 28  # state entries or pair-squeeze work, not bytes
-_CHAIN_GROUP = 8  # pair-squeeze chains per operator_exponential call
+DEFAULT_MEM_BUDGET = 2 ** 28  # state entries, not bytes
+_MAX_EXACT_COUNT = 2 ** 53  # from here a float64 no longer tells n_max from n_max + 1
 
 
 def memory_budget() -> int:
-    """Cap on dim^2 two-mode entries, 2 dim^n qubit-boson entries and the pair-squeeze work.
+    """Cap on the entries of a state: dim^2 for two modes, 2 dim^n for the qubit-boson state.
 
-    MEK_MEM_BUDGET overrides the default 2^28; it counts entries and work, not bytes.
+    MEK_MEM_BUDGET overrides the default 2^28; it counts entries, not bytes.
     """
     raw = os.environ.get("MEK_MEM_BUDGET", "")
     return int(raw) if raw else DEFAULT_MEM_BUDGET
@@ -187,55 +189,53 @@ def annihilation_matrix(n_max: int) -> np.ndarray:
 def operator_exponential(generator: np.ndarray, scales=None) -> np.ndarray:
     """Dense exponential of a CS-form generator, in closed form from one half-size SVD.
 
-    The generator must have the CS form: in even/odd index order it reads
-    G = [[0, A], [-A^H, 0]], so the even-even and odd-odd blocks are exactly
-    zero and ``gen[..., 1::2, ::2]`` equals -A^H exactly, with
-    A = ``gen[..., ::2, 1::2]``. Such a G is anti-Hermitian and couples only
+    The generator must be an (n, n) matrix of the CS form: in even/odd index
+    order it reads G = [[0, A], [-A^H, 0]], so the even-even and odd-odd
+    blocks are exactly zero and ``gen[1::2, ::2]`` equals -A^H exactly, with
+    A = ``gen[::2, 1::2]``. Such a G is anti-Hermitian and couples only
     indices of opposite parity, as the displacement generator
-    alpha a^dag - alpha^* a and the pair-squeeze chains do. One SVD
-    A = U S W^H then gives exp G = [[U cos S U^H, U sin S W^H],
-    [-W sin S U^H, W cos S W^H]] exactly, with cos S padded with 1 on the
-    longer (even) side; the result is unitary at the 1e-14 level.
+    alpha a^dag - alpha^* a does. One SVD A = U S W^H then gives
+    exp G = [[U cos S U^H, U sin S W^H], [-W sin S U^H, W cos S W^H]] exactly,
+    with cos S padded with 1 on the longer (even) side; the result is unitary
+    at the 1e-14 level.
 
     The result has the generator's dtype (integers give float64), so a real
-    generator runs in real arithmetic throughout. A stack of shape
-    ``(..., n, n)`` is exponentiated matrix by matrix, as in ``np.linalg``; a
-    single ``(n, n)`` matrix is the stack of one.
+    generator runs in real arithmetic throughout.
 
     ``scales``, a 1-D sequence of real finite numbers t, asks for the stack
-    exp(t G), one per t, of shape ``(len(scales), n, n)`` for a single
-    ``(n, n)`` generator. A real t keeps the CS form, and t S are the
-    singular values of t A, so one SVD of A serves every t and only the
-    cosines and sines are per t. Without ``scales`` the result is exp G.
+    exp(t G), one per t, of shape ``(len(scales), n, n)``. A real t keeps the
+    CS form, and t S are the singular values of t A, so one SVD of A serves
+    every t and only the cosines and sines are per t. Without ``scales`` the
+    result is exp G.
 
     Raises
     ------
     DimensionError
-        If the generator is not a square matrix or a stack of them.
+        If the generator is not a square matrix; a stack of them is refused too.
     ContractError
-        If the generator, or any member of a stack, is not in CS form; the
-        message names the block that breaks it.
+        If the generator is not in CS form; the message names the block that
+        breaks it.
     ValueError
         If the generator has non-finite entries, or ``scales`` is given and
-        is not a 1-D sequence of real finite numbers, comes with a stack of
-        generators, or scales the generator's entries past the float range.
+        is not a 1-D sequence of real finite numbers, or scales the
+        generator's entries past the float range.
     """
     gen = np.asarray(generator)
-    if gen.ndim < 2 or gen.shape[-1] != gen.shape[-2]:
-        raise DimensionError(f"generator must be square or a stack of squares, got {gen.shape}")
+    if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
+        raise DimensionError(f"generator must be a square matrix, got shape {gen.shape}")
     if not np.all(np.isfinite(gen)):
         raise ValueError("generator has non-finite entries")
     if gen.dtype.kind in "biu":
         gen = gen.astype(np.float64)
     if scales is not None:
         scales = _check_scales(scales, gen)
-    upper = gen[..., ::2, 1::2]
+    upper = gen[::2, 1::2]
     for block, broken in (
-        ("even-even block is nonzero", np.any(gen[..., ::2, ::2])),
-        ("odd-odd block is nonzero", np.any(gen[..., 1::2, 1::2])),
+        ("even-even block is nonzero", np.any(gen[::2, ::2])),
+        ("odd-odd block is nonzero", np.any(gen[1::2, 1::2])),
         (
             "odd-even block is not minus the conjugate transpose of the even-odd block",
-            not np.array_equal(gen[..., 1::2, ::2], -np.conj(upper).swapaxes(-1, -2)),
+            not np.array_equal(gen[1::2, ::2], -np.conj(upper).T),
         ),
     ):
         if broken:
@@ -247,12 +247,12 @@ def operator_exponential(generator: np.ndarray, scales=None) -> np.ndarray:
     n_odd = sing.shape[-1]
     cos = np.ones(sing.shape[:-1] + u.shape[-1:])
     cos[..., :n_odd] = np.cos(sing)
-    u_odd = u[..., :n_odd]
-    out = np.empty(sing.shape[:-1] + gen.shape[-2:], dtype=gen.dtype)
-    out[..., ::2, ::2] = (u * cos[..., None, :]) @ np.conj(u).swapaxes(-1, -2)
+    u_odd = u[:, :n_odd]
+    out = np.empty(sing.shape[:-1] + gen.shape, dtype=gen.dtype)
+    out[..., ::2, ::2] = (u * cos[..., None, :]) @ np.conj(u).T
     out[..., ::2, 1::2] = (u_odd * np.sin(sing)[..., None, :]) @ wh
     out[..., 1::2, ::2] = -np.conj(out[..., ::2, 1::2]).swapaxes(-1, -2)
-    out[..., 1::2, 1::2] = (np.conj(wh).swapaxes(-1, -2) * cos[..., None, :n_odd]) @ wh
+    out[..., 1::2, 1::2] = (np.conj(wh).T * cos[..., None, :n_odd]) @ wh
     return out
 
 
@@ -264,8 +264,6 @@ def _check_scales(scales, gen: np.ndarray) -> np.ndarray:
     values = values.astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"scales must be finite, got {scales!r}")
-    if gen.ndim != 2:
-        raise ValueError(f"scales need a single generator, got a stack of shape {gen.shape}")
     largest = float(np.abs(values).max(initial=0.0)) * float(np.abs(gen).max(initial=0.0))
     if not math.isfinite(largest):
         raise ValueError("scales times the generator's entries overflow")
@@ -305,8 +303,14 @@ def squeezed_tail_mass(r: float, n_max: int) -> float:
 
 
 def coherent_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> FockCutoff:
-    """Smallest cutoff whose Poisson occupation tail is below tail_tol."""
+    """Smallest cutoff whose Poisson occupation tail is below tail_tol.
+
+    An amplitude the builders cannot represent (see ``coherent_amplitudes``)
+    is a ValueError before any search, which would otherwise take a step per
+    occupation number near |alpha|^2.
+    """
     _check_tol(tail_tol)
+    _vacuum_coefficient(alpha)
     lam = abs(alpha) ** 2
     n_max = int(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0)
     while n_max > 0 and coherent_tail_mass(alpha, n_max - 1) <= tail_tol:
@@ -324,7 +328,13 @@ def squeezed_cutoff(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockCutoff:
     if r == 0.0:
         return FockCutoff(0)
     log_q = 2.0 * log_tanh(r)
-    n_max = max(0, math.ceil(math.log(tail_tol) / log_q) - 1)
+    estimate = math.log(tail_tol) / log_q if log_q < 0.0 else math.inf
+    if estimate >= _MAX_EXACT_COUNT:
+        raise ValueError(
+            f"squeezing r = {r:g} needs n_max ~ {estimate:.3g} for the tail {tail_tol:g}, "
+            "past 2^53, where float64 stops counting occupation numbers"
+        )
+    n_max = max(0, math.ceil(estimate) - 1)
     while squeezed_tail_mass(r, n_max) > tail_tol:
         n_max += 1
     return FockCutoff(n_max)
@@ -334,12 +344,8 @@ def coherent_product_cutoff(amplitudes, tail_tol: float = DEFAULT_TAIL_TOL) -> F
     """Smallest common cutoff holding every mode's Poisson tail below tail_tol / len(amplitudes).
 
     That equal split is the coherent builders' tail rule; it keeps the product's norm
-    defect below ``tail_tol``. An amplitude the builders cannot represent (see
-    ``coherent_amplitudes``) is a ValueError before any search, which would
-    otherwise take a step per occupation number near |alpha|^2.
+    defect below ``tail_tol``.
     """
-    for amp in amplitudes:
-        _vacuum_coefficient(amp)
     per_mode = tail_tol / len(amplitudes)
     return FockCutoff(max(coherent_cutoff(amp, per_mode).n_max for amp in amplitudes))
 
@@ -463,21 +469,15 @@ def displacement_generator(alpha: complex, n_max: int) -> np.ndarray:
     return alpha * a.T - np.conj(alpha) * a
 
 
-def _boundary_mass(amps: np.ndarray) -> float:
-    """Occupation probability sitting on any top-level index of the tensor."""
-    total = 0.0
+def _check_boundary_leak(amps: np.ndarray, tail_tol: float) -> float:
+    """Probability on any top-level index of a displaced ``amps``; TailMassError past tail_tol."""
+    leak = 0.0
     for axis in range(amps.ndim):
         edge = np.take(amps, amps.shape[axis] - 1, axis=axis)
-        total += float(np.vdot(edge, edge).real)
-    return total
-
-
-def _check_boundary_leak(amps: np.ndarray, tail_tol: float, operation: str) -> float:
-    """Boundary mass of ``amps``; TailMassError if ``operation`` leaked more than tail_tol."""
-    leak = _boundary_mass(amps)
+        leak += float(np.vdot(edge, edge).real)
     if leak > tail_tol:
         raise TailMassError(
-            f"{operation} pushed {leak:.3e} probability onto the truncation boundary "
+            f"displacement pushed {leak:.3e} probability onto the truncation boundary "
             f"(tolerance {tail_tol:.3e}); increase n_max",
             measured=leak,
         )
@@ -543,7 +543,7 @@ def apply_two_mode_displacement(
     # op_a diag(s) = op_a * s, bit for bit, with no d x d state
     left = op_a @ state.amplitudes if state.schmidt is None else op_a * state.schmidt
     amps = left @ op_b.T
-    leak = _check_boundary_leak(amps, tail_tol, "displacement")
+    leak = _check_boundary_leak(amps, tail_tol)
     tail_mass = max(state.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, state.mode_dims, tail_mass)
 
@@ -572,96 +572,59 @@ def reordered_displacement(
     )
 
 
-def pair_chain_stack(z: complex, dim: int, k0: int) -> np.ndarray:
-    """Pair-squeeze generators of the chain group k = k0, k0 + 1, ... of a dim x dim state.
-
-    Chain k holds the states |k + j, j>, j = 0 .. dim - k - 1, and its
-    generator is tridiagonal: z sqrt((k + j) j) at (j, j - 1) and the negated
-    conjugate at (j - 1, j). The group's ``_CHAIN_GROUP`` chains (fewer at
-    the end) are zero-padded to the longest, chain k0, of length dim - k0. A
-    real z gives float64.
-    """
-    size = dim - k0
-    k = np.arange(k0, min(k0 + _CHAIN_GROUP, dim))[:, None]
-    j = np.arange(size)
-    link = np.where(j < dim - k, np.sqrt((k + j) * j), 0.0)[:, 1:]
-    generator = np.zeros((len(k), size, size), dtype=type(z))
-    generator[:, j[1:], j[:-1]] = z * link
-    generator[:, j[:-1], j[1:]] = -np.conj(z) * link
-    return generator
-
-
-def _squeeze_sectors(amplitudes: np.ndarray, params: SqueezedStateParams) -> np.ndarray:
-    """Apply exp(z a^dag b^dag - z^* a b) to a square two-mode array, sector by sector.
-
-    The pair generator couples |n, m> only to |n +- 1, m +- 1>, so it conserves
-    k = n - m. In the truncated basis it splits into 2 dim - 1 chains, each of
-    length dim - |k|, on which it is tridiagonal: z sqrt(n m) below the diagonal
-    and -z^* sqrt(n m) above it, at the upper state (n, m) of each link. The
-    chains |k + j, j> and |j, k + j> of sectors +k and -k carry the same links
-    in the same order, so only the dim chains k >= 0 are exponentiated, each
-    applied to both sectors as two columns. ``_CHAIN_GROUP`` consecutive chains
-    go to ``operator_exponential`` as one stack (``pair_chain_stack``),
-    zero-padded to the longest of them. The padding is harmless: the padded
-    entries of the columns are zero, and the padded rows of the product are
-    never scattered back. Every entry of the result belongs to exactly one
-    chain.
-
-    At theta = 0 the chains are real, so they are exponentiated in float64;
-    the result is float64 when the input is too, and complex128 otherwise.
-    """
-    z = _real_if_exact(params.r * complex(math.cos(params.theta), math.sin(params.theta)))
-    dim = amplitudes.shape[0]
-    out = np.empty(amplitudes.shape, dtype=np.result_type(amplitudes, type(z)))
-    for k0 in range(0, dim, _CHAIN_GROUP):
-        generator = pair_chain_stack(z, dim, k0)
-        size = dim - k0  # length of chain k0, the longest in its group
-        k = np.arange(k0, k0 + len(generator))[:, None]
-        inside = np.arange(size) < dim - k  # chain k holds the states j = 0 .. dim - k - 1
-        chain, m = np.nonzero(inside)
-        n = k0 + chain + m
-        columns = np.zeros((len(k), size, 2), dtype=amplitudes.dtype)
-        columns[chain, m, 0] = amplitudes[n, m]
-        columns[chain, m, 1] = amplitudes[m, n]
-        moved = operator_exponential(generator) @ columns
-        out[n, m] = moved[chain, m, 0]
-        out[m, n] = moved[chain, m, 1]
-    return out
-
-
-def _pair_squeeze_work(dim: int) -> int:
-    """Sum of g L^3 over the stacked chain groups of ``_squeeze_sectors``: about dim^4 / 4.
-
-    A group of g chains is padded to its longest chain, of length L.
-    """
-    return sum(
-        min(_CHAIN_GROUP, dim - k0) * (dim - k0) ** 3 for k0 in range(0, dim, _CHAIN_GROUP)
-    )
-
-
 def build_squeezed_coherent(
     params_s: SqueezedStateParams,
     params_d: DisplacementParams,
     cutoff: FockCutoff,
     tail_tol: float = DEFAULT_LEAK_TOL,
 ) -> ComplexAmplitudeTensor:
-    """Squeeze an already-displaced two-mode state, one conserved n_a - n_b sector at a time.
+    """S(z) D(alpha, beta)|0, 0>, exact on the kept block, from the su(1,1) disentangled form.
 
-    The pair squeeze acts on the coherent product state chain by chain (see
-    ``_squeeze_sectors``). Its work, g L^3 for each stacked group of g chains
-    padded to length L, summed over the groups (about dim^4 / 4), must not
-    exceed the memory budget.
+    S(z) = e^{tau a^dag b^dag} cosh r^{-(n_a + n_b + 1)} e^{-tau^* a b} with
+    tau = e^{i theta} tanh r (Truax, Phys. Rev. D 31 (1985) 1988). The right
+    factor is the scalar e^{-tau^* alpha beta} on the coherent product, and
+    a e^{tau a^dag b^dag} = e^{tau a^dag b^dag} (a + tau b^dag), so each row
+    follows from the one above:
+
+        psi[0, m] = K (beta / cosh r)^m / sqrt(m!),
+        psi[n, m] = alpha / (cosh r sqrt(n)) psi[n-1, m] + tau sqrt(m / n) psi[n-1, m-1],
+        K = e^{-tau^* alpha beta - |alpha|^2 / 2 - |beta|^2 / 2} / cosh r.
+
+    No kept entry depends on one past the cutoff, so the norm defect is the
+    mass the state puts outside the box; TailMassError if it, or the
+    geometric tail, exceeds ``tail_tol``. Opposed squeezing and displacement
+    phases cancel digits: 5.6e-8 at alpha = beta = 4, r = 1.2, theta = pi
+    (n_max = 100), against 1e-15 at alpha = beta = 2. r = 0 is
+    ``build_coherent_two_mode``; the budget counts dim^2 entries.
     """
     _check_tol(tail_tol)
-    _check_budget(_pair_squeeze_work(cutoff.dim), "pair-squeeze chain work sum g L^3")
+    _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     _check_squeezed_tail(params_s.r, cutoff, tail_tol)
-    base = build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
     if params_s.r == 0.0:
-        return base
-    amps = _squeeze_sectors(base.amplitudes, params_s)
-    leak = _check_boundary_leak(amps, tail_tol, "pair squeezing")
-    tail_mass = max(base.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
-    return ComplexAmplitudeTensor(amps, base.mode_dims, tail_mass)
+        return build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
+    cosh_r = math.cosh(params_s.r)
+    phase = complex(math.cos(params_s.theta), math.sin(params_s.theta))
+    tau = _real_if_exact(math.tanh(params_s.r) * phase)
+    alpha, beta = _real_if_exact(params_d.alpha), _real_if_exact(params_d.beta_b)
+    k = np.exp(-tau.conjugate() * alpha * beta - 0.5 * (abs(alpha) ** 2 + abs(beta) ** 2)) / cosh_r
+    if abs(k) < sys.float_info.min:  # a subnormal start would scale every entry's error
+        raise ValueError(f"squeezed coherent vacuum amplitude {abs(k):.3g} underflows float64")
+    root_m = np.sqrt(np.arange(cutoff.dim))
+    psi = np.empty((cutoff.dim,) * 2, dtype=np.result_type(type(tau), type(alpha), type(beta)))
+    psi[0, 0] = k
+    psi[0, 1:] = k * np.cumprod(beta / (cosh_r * root_m[1:]))
+    raise_b = tau * root_m[1:]
+    for n in range(1, cutoff.dim):
+        psi[n] = (alpha / (cosh_r * root_m[n])) * psi[n - 1]
+        psi[n, 1:] += (raise_b / root_m[n]) * psi[n - 1, :-1]
+    tail_mass = max(0.0, 1.0 - float(np.vdot(psi, psi).real))
+    if tail_mass > tail_tol:
+        raise TailMassError(
+            f"the squeezed coherent state puts {tail_mass:.3e} probability outside the box "
+            f"(tolerance {tail_tol:.3e}) at n_max={cutoff.n_max}; increase n_max",
+            measured=tail_mass,
+        )
+    return ComplexAmplitudeTensor(psi, (cutoff.dim, cutoff.dim), tail_mass)
 
 
 def build_silbey_harris(

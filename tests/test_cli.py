@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import signal
 import subprocess
 import sys
 
@@ -20,6 +21,22 @@ from mek.cli import (
     run_thermo_table,
     run_verification,
 )
+
+
+class _Overrun(Exception):
+    """Raised by the ``deadline`` alarm: no type that ``cli.main`` turns into exit 2."""
+
+
+@pytest.fixture
+def deadline():
+    """Arm an alarm that fails the test after the given seconds instead of letting it hang."""
+    def expire(signum, frame):
+        raise _Overrun("still running at the deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestParsing:
@@ -239,6 +256,25 @@ class TestRunSweep:
         for family in ("displaced-squeezed", "squeezed-coherent"):
             rows = run_sweep(SweepConfig(family, [0.8], mus))[1]
             assert [row[2] for row in rows] == [row[2] for row in reference]
+
+    def test_squeezed_coherent_orders_below_one_pass(self):
+        # the box follows the squeezed rule's tail for order 0.5 and is padded
+        # for the reordered displacement; on the recurrence's exact block every
+        # order then sits far inside the gate
+        config = SweepConfig("squeezed-coherent", parse_grid("0.3:0.8:6"),
+                             [0.5, 1.0, 2.0, math.inf], oracle=True)
+        _, rows, code = run_sweep(config)
+        assert code == 0
+        assert max(row[-1] for row in rows) <= 1e-12
+
+    def test_squeezed_coherent_oracle_at_a_tight_tail(self):
+        # the mass outside the box stays below the leak tolerance for tails
+        # below it (it once exited 2 at 1e-11 on the boundary leak)
+        config = SweepConfig("squeezed-coherent", parse_grid("0:1.5:4"),
+                             [0.5, 1.0, 2.0, math.inf], oracle=True, tail_tolerance=1e-11)
+        _, rows, code = run_sweep(config)
+        assert code == 0
+        assert max(row[-1] for row in rows) < cli.ORACLE_DEV_LIMIT
 
     def test_displaced_oracle_matches(self):
         config = SweepConfig("displaced-squeezed", [0.5], [1.0, 2.0], oracle=True)
@@ -482,13 +518,37 @@ class TestMainEntry:
         assert "1e-320" in captured.err
 
     def test_oracle_memory_budget_exceeded(self, monkeypatch, capsys):
-        monkeypatch.setenv("MEK_MEM_BUDGET", "1000")
-        code = cli.main(
-            ["sweep", "--family", "squeezed-coherent", "--grid", "0.5", "--mu", "1",
-             "--oracle"]
-        )
+        # the squeezed coherent state counts dim^2 entries, as every two-mode state does
+        argv = ["sweep", "--family", "squeezed-coherent", "--grid", "0.5", "--mu", "1",
+                "--oracle"]
+        plans = []
+        reduce = cli._reduced_spectrum
+
+        def capturing(state, plan, keep_factor=0):
+            plans.append(plan)
+            return reduce(state, plan, keep_factor)
+
+        monkeypatch.setattr(cli, "_reduced_spectrum", capturing)
+        assert cli.main(argv) == 0
+        entries = plans[0].cutoff.dim ** 2
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(entries - 1))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"dim^2 is {entries}" in err and "MEK_MEM_BUDGET" in err
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(entries))
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("family", ["squeezed", "displaced-squeezed", "squeezed-coherent"])
+    @pytest.mark.parametrize("grid", ["10", "27", "28", "40"])
+    def test_large_squeezing_exits_promptly(self, family, grid, deadline, capsys):
+        # the squeezed cutoff search once stepped n_max one at a time past 2^53,
+        # where float64 cannot tell n_max from n_max + 1, and the reordered
+        # displacement reaches |alpha'| ~ 8,800 at r = 10
+        deadline(10.0)
+        code = cli.main(["sweep", "--family", family, "--oracle", "--grid", grid, "--mu", "1"])
         assert code == 2
-        assert "MEK_MEM_BUDGET" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("mek: ")
 
     def test_squeezed_vacuum_memory_budget_exceeded(self, monkeypatch, capsys):
         # the squeezed-vacuum state (dim^2 entries) is checked against the budget too

@@ -54,6 +54,39 @@ def eigh_exponential(gen):
     return (v * np.exp(1j * w)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
+def pair_chain_generator(z, length, k):
+    """Pair-squeeze generator z a^dag b^dag - z^* a b on the chain |k + j, j>, j < length.
+
+    It is tridiagonal, z sqrt((k + j) j) at (j, j - 1) and the negated
+    conjugate at (j - 1, j), and in CS form; a real z gives float64.
+    """
+    j = np.arange(1, length)
+    link = np.sqrt((k + j) * j)
+    gen = np.zeros((length, length), dtype=type(z))
+    gen[j, j - 1] = z * link
+    gen[j - 1, j] = -np.conj(z) * link
+    return gen
+
+
+def pair_squeeze_by_chains(amps, params):
+    """exp(z a^dag b^dag - z^* a b) applied to a square two-mode array, chain by chain.
+
+    The pair generator conserves n - m, so each chain |k + j, j> (and its
+    mirror |j, k + j>) is exponentiated alone with ``eigh_exponential``. The
+    truncated exponential is unitary on the box, so it reflects whatever the
+    true state would put beyond the cutoff.
+    """
+    z = params.r * complex(math.cos(params.theta), math.sin(params.theta))
+    dim = amps.shape[0]
+    out = np.zeros(amps.shape, dtype=complex)
+    for k in range(dim):
+        j = np.arange(dim - k)
+        op = eigh_exponential(pair_chain_generator(z, dim - k, k))
+        out[k + j, j] = op @ amps[k + j, j]
+        out[j, k + j] = op @ amps[j, k + j]
+    return out
+
+
 def random_cs_generator(rng, dim, complex_entries):
     """Random G = [[0, A], [-A^H, 0]] in even/odd index order, real or complex."""
     half = rng.normal(size=((dim + 1) // 2, dim // 2))
@@ -119,42 +152,23 @@ class TestOperatorExponential:
         with pytest.raises(ValueError):
             operator_exponential(bad)
 
-    def test_padded_stack_matches_single_calls(self):
-        # a pair-squeeze chain group is padded to its longest chain, k0
-        dim = 40
-        for z in (0.6, 0.6 * complex(math.cos(0.9), math.sin(0.9))):
-            for k0 in (0, 8, 32, 39):
-                stack = fockspace.pair_chain_stack(z, dim, k0)
-                pad = dim - k0
-                out = operator_exponential(stack)
-                assert out.shape == stack.shape and out.dtype == stack.dtype
-                for i, k in enumerate(range(k0, k0 + len(stack))):
-                    size = dim - k
-                    single = operator_exponential(stack[i, :size, :size])
-                    assert np.max(np.abs(out[i, :size, :size] - single)) < 1e-14
-                    # exp(blockdiag(G, 0)) = blockdiag(exp G, I), exactly
-                    np.testing.assert_array_equal(out[i, size:, size:], np.eye(pad - size))
-                    assert np.count_nonzero(out[i, :size, size:]) == 0
-                    assert np.count_nonzero(out[i, size:, :size]) == 0
-
     def test_stack_shape_checked(self):
-        np.testing.assert_array_equal(
-            operator_exponential(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3))
-        )
-        for shape in ((2, 3, 4), (3,)):
-            with pytest.raises(DimensionError):
+        # only a single square matrix is exponentiated; a stack is refused
+        for shape in ((2, 3, 3), (2, 3, 4), (3,)):
+            with pytest.raises(DimensionError, match="square matrix"):
                 operator_exponential(np.zeros(shape))
 
     def test_rejects_non_finite_stack_member(self):
+        # a stack is refused for its shape before any member is read
         for bad_value in (math.inf, complex(0.0, -math.inf)):
             stack = np.zeros((3, 4, 4), dtype=complex)
             stack[0, 1, 0] = 0.5
             stack[2, 3, 1] = bad_value
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(DimensionError, match="square matrix"):
                 operator_exponential(stack)
 
     def test_cs_route_matches_series(self):
-        # displacement generators and pair-squeeze chain stacks, against an
+        # displacement generators and pair-squeeze chains, against an
         # eigendecomposition of the Hermitian -iG
         gens = [
             fockspace.displacement_generator(alpha, dim - 1)
@@ -162,9 +176,9 @@ class TestOperatorExponential:
             for alpha in (1.3, 0.8 - 1.1j)
         ]
         gens += [
-            fockspace.pair_chain_stack(z, 40, k0)
+            pair_chain_generator(z, 40 - k, k)
             for z in (0.6, 0.6 * complex(math.cos(0.9), math.sin(0.9)))
-            for k0 in (0, 8, 32)
+            for k in (0, 8, 32, 39)
         ]
         for gen in gens:
             out = operator_exponential(gen)
@@ -174,14 +188,14 @@ class TestOperatorExponential:
     def test_non_cs_generators_are_rejected(self):
         rng = np.random.default_rng(13)
         raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        stack = fockspace.pair_chain_stack(0.4, 12, 0)
-        stack[3, 2, 2] = 0.1
+        chain = pair_chain_generator(0.4, 9, 3)
+        chain[2, 2] = 0.1
         for gen, block in (
             (np.array([[0.0, 1.0], [1.0, 0.0]]), "odd-even"),  # bipartite, not anti-Hermitian
             (np.array([[0, 1], [1, 0]]), "odd-even"),  # integers
             (fockspace.displacement_generator(0.4 + 0.2j, 9) + 0.3j * np.eye(10), "even-even"),
             (raw - raw.conj().T, "even-even"),  # dense anti-Hermitian
-            (stack, "even-even"),  # one broken member spoils the stack
+            (chain, "even-even"),  # one diagonal entry spoils a tridiagonal chain
         ):
             with pytest.raises(ContractError, match=f"not in CS form.*{block} block"):
                 operator_exponential(gen)
@@ -220,8 +234,8 @@ class TestOperatorExponential:
             operator_exponential(fockspace.displacement_generator(2.0, 9), scales=scales)
 
     def test_rejects_scales_with_a_stack(self):
-        stack = fockspace.pair_chain_stack(0.4, 12, 0)
-        with pytest.raises(ValueError, match="stack"):
+        stack = np.stack([pair_chain_generator(0.4, 12, k) for k in (0, 1)])
+        with pytest.raises(DimensionError, match="square matrix"):
             operator_exponential(stack, scales=(1.0,))
 
 
@@ -244,6 +258,16 @@ class TestTailBounds:
         assert squeezed_tail_mass(r, cut.n_max) <= 1e-12
         if cut.n_max > 0:
             assert squeezed_tail_mass(r, cut.n_max - 1) > 1e-12
+
+    @pytest.mark.parametrize("r", [17.3, 26.0, 28.0, 40.0, 400.0])
+    def test_squeezed_cutoff_stops_at_exact_counts(self, r):
+        # past 2^53 a float64 cannot tell n_max from n_max + 1, and the search
+        # stepping n_max up by one never ended
+        if r == 17.3:
+            assert 2 ** 52 < squeezed_cutoff(r, 1e-12).n_max < 2 ** 53
+        else:
+            with pytest.raises(ValueError, match="past 2\\^53"):
+                squeezed_cutoff(r, 1e-12)
 
     @pytest.mark.parametrize("alpha", [0.2, 1.0, 2.5])
     def test_coherent_cutoff_minimal(self, alpha):
@@ -287,6 +311,8 @@ class TestCoherentBuilder:
             coherent_amplitudes(alpha, 3)
         with pytest.raises(ValueError, match="underflows float64"):
             coherent_product_cutoff((0.5, alpha))
+        with pytest.raises(ValueError, match="underflows float64"):
+            coherent_cutoff(alpha)
 
     def test_tail_error_reports_requirement(self):
         with pytest.raises(TailMassError) as err:
@@ -524,53 +550,69 @@ class TestSqueezedCoherent:
         approx = apply_two_mode_displacement(squeezed, naive)
         assert np.max(np.abs(left.amplitudes - approx.amplitudes)) > 1e-4
 
-    def test_sector_chains_match_dense_pair_exponential(self):
-        # reference: the pair generator exponentiated as one d^2 x d^2 matrix
-        params_s = SqueezedStateParams(0.25, 1.1)
-        disp = DisplacementParams(0.2 + 0.15j, -0.1 + 0.25j)
-        cutoff = FockCutoff(11)
-        z = params_s.r * complex(math.cos(params_s.theta), math.sin(params_s.theta))
-        a = annihilation_matrix(cutoff.n_max)
-        adag = a.conj().T
-        dense = operator_exponential(z * np.kron(adag, adag) - np.conj(z) * np.kron(a, a))
-        base = build_coherent_two_mode(disp, cutoff, tail_tol=1e-10)
-        expected = (dense @ base.amplitudes.reshape(-1)).reshape(base.mode_dims)
-        state = build_squeezed_coherent(params_s, disp, cutoff)
-        assert np.max(np.abs(state.amplitudes - expected)) < 1e-13
+    @pytest.mark.parametrize("params_s, disp", [
+        (SqueezedStateParams(0.6), DisplacementParams(0.5, 0.3)),
+        (SqueezedStateParams(0.8, 2.0), DisplacementParams(-0.7 + 0.1j, 0.3 - 0.6j)),
+        (SqueezedStateParams(0.5, math.pi), DisplacementParams(1.5, 1.5)),  # opposed phases
+    ], ids=["real", "complex", "opposed"])
+    def test_recurrence_matches_pair_exponential_on_the_block(self, params_s, disp):
+        # reference: the truncated pair exponential on a box 46 levels larger,
+        # restricted to the block; it is off only by what its own wall
+        # reflects, and the recurrence measures that mass on the large box
+        block, box = FockCutoff(20), FockCutoff(66)
+        coherent = np.multiply.outer(
+            coherent_amplitudes(disp.alpha, box.n_max), coherent_amplitudes(disp.beta_b, box.n_max)
+        )
+        reference = pair_squeeze_by_chains(coherent, params_s)[: block.dim, : block.dim]
+        outside_box = build_squeezed_coherent(params_s, disp, box).tail_mass
+        assert outside_box < 1e-25
+        state = build_squeezed_coherent(params_s, disp, block, tail_tol=1e-2)
+        assert np.max(np.abs(state.amplitudes - reference)) < 1e-13 + math.sqrt(outside_box)
+        # the block's norm defect is the mass the reference puts outside it
+        outside_block = 1.0 - float(np.vdot(reference, reference).real)
+        assert outside_block > 1e-10
+        assert state.tail_mass == pytest.approx(outside_block, abs=1e-14)
 
     def test_basis_state_stays_in_its_sector(self):
-        dim = 12
-        amps = np.zeros((dim, dim), dtype=complex)
-        amps[2, 5] = 1.0
-        out = fockspace._squeeze_sectors(amps, SqueezedStateParams(0.4, 0.7))
-        n, m = np.indices((dim, dim))
-        sector = n - m == 2 - 5
-        assert np.count_nonzero(out[~sector]) == 0
-        assert np.vdot(out[sector], out[sector]).real == pytest.approx(1.0, abs=1e-13)
-        assert np.count_nonzero(np.abs(out[sector]) > 1e-6) > 1
+        # the pair squeeze conserves n - m: from the vacuum it fills only
+        # n = m, and a displacement of one mode only its side of the diagonal
+        n, m = np.indices((25, 25))
+        params_s = SqueezedStateParams(0.7, 2.3)
+        for disp, sector in (
+            (DisplacementParams(0.0, 0.0), n == m),
+            (DisplacementParams(0.6 - 0.2j, 0.0), n >= m),
+            (DisplacementParams(0.0, 0.4j), n <= m),
+        ):
+            amps = build_squeezed_coherent(params_s, disp, FockCutoff(24), 1e-3).amplitudes
+            assert np.count_nonzero(amps[~sector]) == 0
+            assert np.count_nonzero(np.abs(amps[sector]) > 1e-6) > 1
 
-    def test_mirror_sectors_share_one_chain_exactly(self):
-        # sectors +k and -k run through the same exponential, so transposing
-        # the input transposes the output bit for bit
-        rng = np.random.default_rng(5)
-        params = SqueezedStateParams(0.45, 2.3)
-        for dim in (9, 20, 47):
-            amps = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            out = fockspace._squeeze_sectors(amps, params)
-            np.testing.assert_array_equal(fockspace._squeeze_sectors(amps.T, params), out.T)
+    def test_swapping_the_displacements_transposes_the_state(self):
+        # S(z) is symmetric in the two modes, so (alpha, beta) -> (beta, alpha)
+        # transposes psi; the recurrence runs over rows either way
+        params_s = SqueezedStateParams(0.45, 2.3)
+        disp = DisplacementParams(0.3 - 0.4j, -0.5 + 0.1j)
+        swapped = DisplacementParams(disp.beta_b, disp.alpha)
+        for cutoff in (FockCutoff(20), FockCutoff(46)):
+            out = build_squeezed_coherent(params_s, disp, cutoff).amplitudes
+            mirror = build_squeezed_coherent(params_s, swapped, cutoff).amplitudes
+            assert np.max(np.abs(mirror - out.T)) < 1e-15
 
-    @pytest.mark.parametrize("corner", [(0, 20), (20, 0)])
-    def test_length_one_chain_in_padded_group(self, corner):
-        # |0, d-1> and |d-1, 0> are whole chains of length 1, padded in the last group
-        dim = 21
-        amps = np.zeros((dim, dim), dtype=complex)
-        amps[corner] = 1.0
-        out = fockspace._squeeze_sectors(amps, SqueezedStateParams(0.6, 0.9))
-        n, m = np.indices((dim, dim))
-        sector = n - m == corner[0] - corner[1]
-        assert np.count_nonzero(sector) == 1
-        assert np.count_nonzero(out[~sector]) == 0
-        assert np.vdot(out[sector], out[sector]).real == pytest.approx(1.0, abs=1e-15)
+    def test_undersized_cutoff_raises_tail_mass_error(self):
+        # the geometric tail passes, but the displaced state reaches past the box
+        params_s, disp = SqueezedStateParams(0.3), DisplacementParams(2.5, 2.0)
+        assert squeezed_tail_mass(0.3, 15) < 1e-16
+        with pytest.raises(TailMassError, match="outside the box") as err:
+            build_squeezed_coherent(params_s, disp, FockCutoff(15))
+        assert err.value.measured > 1e-3
+        assert build_squeezed_coherent(params_s, disp, FockCutoff(45)).tail_mass < 1e-10
+
+    def test_underflowing_vacuum_amplitude_is_refused(self):
+        # K = e^{-tau alpha beta - (alpha^2 + beta^2) / 2} / cosh r ~ e^{-990} starts the recurrence
+        with pytest.raises(ValueError, match="underflows float64"):
+            build_squeezed_coherent(
+                SqueezedStateParams(0.1), DisplacementParams(30.0, 30.0), FockCutoff(10)
+            )
 
     def test_memory_budget_enforced(self, monkeypatch):
         monkeypatch.setenv("MEK_MEM_BUDGET", "1000")
@@ -578,18 +620,16 @@ class TestSqueezedCoherent:
             build_squeezed_coherent(
                 SqueezedStateParams(0.3),
                 DisplacementParams(0.1, 0.1),
-                FockCutoff(30),
+                FockCutoff(31),
             )
 
-    def test_budget_counts_stacked_chain_work(self, monkeypatch):
-        # d = 20: groups of 8, 8 and 4 chains padded to 20, 12 and 4 give
-        # 8 * 20^3 + 8 * 12^3 + 4 * 4^3 = 78,080, against dim^4 = 160,000
-        assert fockspace._pair_squeeze_work(20) == 78_080
+    def test_budget_counts_state_entries(self, monkeypatch):
+        # the state holds dim^2 entries, as every two-mode builder counts
         args = (SqueezedStateParams(0.3), DisplacementParams(0.1, 0.1), FockCutoff(19))
-        monkeypatch.setenv("MEK_MEM_BUDGET", "100000")
+        monkeypatch.setenv("MEK_MEM_BUDGET", "400")
         assert build_squeezed_coherent(*args).amplitudes.shape == (20, 20)
-        monkeypatch.setenv("MEK_MEM_BUDGET", "78079")
-        with pytest.raises(MemoryBudgetError, match="78080"):
+        monkeypatch.setenv("MEK_MEM_BUDGET", "399")
+        with pytest.raises(MemoryBudgetError, match="dim\\^2 is 400"):
             build_squeezed_coherent(*args)
 
 
@@ -643,17 +683,26 @@ class TestDtypeRule:
             state = ComplexAmplitudeTensor(np.eye(2, dtype=given), (2, 2), 0.0)
             assert state.amplitudes.dtype == stored
 
-    def test_real_chains_match_the_complex_route(self):
-        rng = np.random.default_rng(11)
-        for dim in (9, 20, 47):
-            amps = rng.normal(size=(dim, dim))
-            amps /= np.linalg.norm(amps)
-            params = SqueezedStateParams(0.6)
-            real = fockspace._squeeze_sectors(amps, params)
+    def test_real_recurrence_matches_the_complex_route(self):
+        # rotating alpha by phi and beta by chi rotates the squeeze by phi + chi
+        # and psi[n, m] by e^{i (n phi + m chi)}: the real build is the complex
+        # one with the phases taken out
+        phi, chi = 0.7, -1.9
+        for r, alpha, beta, dim in ((0.6, 0.5, 0.3, 9), (0.4, -0.8, 0.6, 20), (0.9, 1.1, 0.2, 47)):
+            cutoff = FockCutoff(dim - 1)
+            real = build_squeezed_coherent(
+                SqueezedStateParams(r), DisplacementParams(alpha, beta), cutoff, 1e-3
+            ).amplitudes
             assert real.dtype == np.float64
-            cast = fockspace._squeeze_sectors(amps.astype(complex), params)
-            assert cast.dtype == np.complex128
-            assert np.max(np.abs(real - cast)) < 1e-15
+            rotated = build_squeezed_coherent(
+                SqueezedStateParams(r, phi + chi),
+                DisplacementParams(alpha * np.exp(1j * phi), beta * np.exp(1j * chi)),
+                cutoff,
+                1e-3,
+            ).amplitudes
+            assert rotated.dtype == np.complex128
+            n, m = np.indices(real.shape)
+            assert np.max(np.abs(rotated * np.exp(-1j * (n * phi + m * chi)) - real)) < 1e-15
 
 
 class TestSilbeyHarris:
