@@ -188,7 +188,17 @@ def oracle_squeezed_coherent_spectrum(
     # displacement, on the squeezed rule's tail for orders below 1
     params = SqueezedStateParams(r)
     reordered = fockspace.reordered_displacement(params, disp)
-    plan = OraclePlan.displaced(r, reordered, OraclePlan.squeezed(r, tail_tol, mu_list).tail_tol)
+    tol = OraclePlan.squeezed(r, tail_tol, mu_list).tail_tol
+    try:
+        plan = OraclePlan.displaced(r, reordered, tol)
+    except ValueError as exc:  # a reordered amplitude past the coherent limit
+        given = ", ".join(f"{a.real:g}" if a.imag == 0.0 else f"{a:g}"
+                          for a in (disp.alpha, disp.beta_b))
+        raise ValueError(
+            f"squeezing r = {r:g} moves the displacement (alpha, beta) = ({given}) to "
+            f"|alpha'| = {abs(reordered.alpha):.2f}, |beta'| = {abs(reordered.beta_b):.2f} "
+            f"by the reordering S D(alpha, beta) = D(alpha', beta') S: {exc}"
+        ) from exc
     # the mass outside this box still exceeds its occupation tail, so the
     # builder holds it to the leak tolerance
     state = fockspace.build_squeezed_coherent(params, disp, plan.cutoff, plan.leak_tol)
@@ -588,29 +598,78 @@ def print_verification(results, stream=None) -> int:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value + 0.0:.12g}"  # -0.0 + 0.0 is 0.0; any other float is unchanged
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value + 0.0:.12g}" if value == 0.0 else f"{value:.12g}"
     return str(value)
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return _fmt(value)
-    return value
+def _json_scalar(value) -> str:
+    # json.dumps writes a finite float as float.__repr__; a non-finite one
+    # becomes the string "inf", "-inf" or "nan"
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else f'"{_fmt(value)}"'
+    return json.dumps(value)
+
+
+def _encoded_rows(rows, encode):
+    """The rows as tuples of ``encode``-d values, encoded column by column.
+
+    A float column at most half of whose values are new to the memo (a sweep
+    repeats 8 of its 10 columns on every order row of a point, and S_mu
+    repeats S_vn, S_2 and S_inf) formats each of its distinct nonzero values
+    once, in a memo shared by the columns of this call; the most repetitive
+    columns go first. Any other column is encoded value by value, so tables
+    that repeat little pay nothing for the memo. Only floats reach the memo,
+    and never zeros: 0.0 == -0.0 and True == 1 == 1.0, yet they render
+    differently.
+    """
+    columns = list(zip(*rows))
+    distinct = [set(column) for column in columns]
+    memo = {}
+    encoded = [None] * len(columns)
+    for j in sorted(range(len(columns)), key=lambda j: len(distinct[j])):
+        column, new = columns[j], distinct[j].difference(memo)
+        if 2 * len(new) > len(column) or set(map(type, column)) != {float}:
+            encoded[j] = map(encode, column)
+            continue
+        memo.update({v: encode(v) for v in new if v})
+        if 0.0 in distinct[j]:
+            encoded[j] = [memo[v] if v else encode(v) for v in column]
+        else:
+            encoded[j] = map(memo.__getitem__, column)
+    return zip(*encoded) if encoded else [()] * len(rows)
 
 
 def render_output(header, rows, fmt: str) -> str:
+    """The table as CSV or JSON text; same header and rows, same bytes.
+
+    ``header`` names the columns (distinct strings) and each row holds one
+    scalar per column. CSV is the header line, then one line per row, each
+    value written ``%.12g`` for floats (-0 as ``0``, inf as ``inf``),
+    ``true``/``false`` for bools and ``str`` otherwise. JSON is exactly
+    ``json.dumps({"columns": [...], "rows": [{column: value, ...}, ...]},
+    indent=2)`` plus a newline: floats in their shortest round-trip form
+    (``float.__repr__``), non-finite ones as the strings ``"inf"``,
+    ``"-inf"`` and ``"nan"``. ValueError for any other format, a repeated
+    column name or a row of the wrong width.
+    """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    if len(set(header)) < len(header) or set(map(len, rows)) - {len(header)}:
+        raise ValueError("output needs distinct column names and one value per column in every row")
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
-    payload = {
-        "columns": list(header),
-        "rows": [{key: _json_safe(v) for key, v in zip(header, row)} for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        lines = map(",".join, _encoded_rows(rows, _fmt))
+        return "\n".join([",".join(header), *lines]) + "\n"
+    # the indent=2 layout, one %-template per row; json.dumps escapes the keys
+    keys = [json.dumps(key) for key in header]
+    fields = ",\n".join(f"      {key.replace('%', '%%')}: %s" for key in keys)
+    template = "    {\n" + fields + "\n    }" if keys else "    {}"
+    columns = "[\n    " + ",\n    ".join(keys) + "\n  ]" if keys else "[]"
+    objects = map(template.__mod__, _encoded_rows(rows, _json_scalar))
+    body = "[\n" + ",\n".join(objects) + "\n  ]" if rows else "[]"
+    return '{\n  "columns": ' + columns + ',\n  "rows": ' + body + "\n}\n"
 
 
 def _write(text: str, path: str | None):

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mek import analytic, cli, fockspace, spectra, thermo
 from mek.cli import (
@@ -21,6 +23,58 @@ from mek.cli import (
     run_thermo_table,
     run_verification,
 )
+
+
+def _reference_fmt(value) -> str:
+    """The CSV scalar format as it was before the renderer memoised values."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value + 0.0:.12g}" if value == 0.0 else f"{value:.12g}"
+    return str(value)
+
+
+def _reference_csv(header, rows) -> str:
+    """The CSV renderer as it was before it memoised values: one format per value."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_reference_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(header, rows) -> str:
+    """The JSON renderer as it was before it wrote its own layout: ``json.dumps`` at indent 2."""
+    payload = {
+        "columns": list(header),
+        "rows": [{key: _reference_json_safe(v) for key, v in zip(header, row)} for row in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _reference_json_safe(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return _reference_fmt(value)
+    return value
+
+
+_TEXT = st.text(alphabet=st.sampled_from(['"', "\\", "%", "s", "é", "Ω", "a", ",", " "]),
+                max_size=4)
+_SCALARS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e308, True, False, 1, 1.0, "%s"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10**20, max_value=10**20),
+    _TEXT,
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows drawn from a few distinct rows, so values repeat down the columns."""
+    header = tuple(draw(st.lists(_TEXT, unique=True, max_size=5)))
+    row = st.lists(_SCALARS, min_size=len(header), max_size=len(header))
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    return header, [list(pool[i]) for i in picks]
 
 
 class _Overrun(Exception):
@@ -332,6 +386,33 @@ class TestRendering:
         assert payload["columns"] == ["a", "b"]
         assert payload["rows"][0] == {"a": "inf", "b": 1.5}
 
+    @settings(max_examples=400, deadline=None)
+    @given(table=_tables())
+    @example(table=(("a", "b"), [[0.5, 0.0], [0.5, -0.0], [-0.0, 0.5], [0.0, 0.5], [0.5, 0.0]]))
+    @example(table=(("t", "x"), [[True, 1.0], [1, 1.0], [1.0, True], [1.0, 1]]))
+    @example(table=((), [[], []]))
+    @example(table=(("a%s", 'q"'), []))
+    def test_both_formats_match_the_reference_bytes(self, table):
+        header, rows = table
+        assert render_output(header, rows, "csv") == _reference_csv(header, rows)
+        assert render_output(header, rows, "json") == _reference_json(header, rows)
+
+    def test_unknown_format_is_refused(self):
+        with pytest.raises(ValueError, match="'xml'"):
+            render_output(("a",), [[1.0]], "xml")
+
+    @pytest.mark.parametrize("header, rows", [
+        (("a", "a"), [[1.0, 2.0]]),
+        (("a", "b"), [[1.0, 2.0], [1.0]]),
+        (("a",), [[1.0, 2.0]]),
+    ], ids=["repeated-column", "short-row", "long-row"])
+    def test_misshapen_tables_are_refused(self, header, rows):
+        # a JSON object cannot hold a column twice, and a row of the wrong
+        # width has no value for some column
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match="one value per column"):
+                render_output(header, rows, fmt)
+
 
 class TestVerification:
     def test_battery_passes(self):
@@ -549,6 +630,19 @@ class TestMainEntry:
         code = cli.main(["sweep", "--family", family, "--oracle", "--grid", grid, "--mu", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("mek: ")
+
+    def test_reordered_displacement_past_the_coherent_limit_is_explained(self, capsys):
+        # the sweep displaces by (0.5, 0.3); only the reordering moves it to
+        # |alpha'| = 0.5 cosh 10 + 0.3 sinh 10, which the user never gave
+        code = cli.main(["sweep", "--family", "squeezed-coherent", "--oracle", "--grid", "10",
+                         "--mu", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mek: squeezing r = 10 moves the displacement "
+                              "(alpha, beta) = (0.5, 0.3) to |alpha'| = 8810.59")
+        assert "S D(alpha, beta) = D(alpha', beta') S" in err and "above 37.64" in err
+        with pytest.raises(ValueError, match="underflows float64"):
+            cli.oracle_squeezed_coherent_spectrum(10.0, cli.SWEEP_DISPLACEMENT)
 
     def test_squeezed_vacuum_memory_budget_exceeded(self, monkeypatch, capsys):
         # the squeezed-vacuum state (dim^2 entries) is checked against the budget too

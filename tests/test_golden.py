@@ -26,6 +26,12 @@ CASES = {
     },
     "sweep_silbey-harris.json": ["sweep", "--family", "silbey-harris", "--grid", "0:3:13",
                                  "--mu", "0,0.5,1,2,5,inf", "--format", "json"],
+    # order-0 rows hold "inf" from r > 0 on
+    "sweep_squeezed.json": ["sweep", "--family", "squeezed", "--grid", "0:3:13",
+                            "--mu", "0,0.5,1,2,5,inf", "--format", "json"],
+    # a bool column, and beta_eff = "inf" at f.f = 0
+    "thermo_silbey-harris.json": ["thermo-table", "--family", "silbey-harris", "--grid", "0:2:9",
+                                  "--format", "json"],
 }
 
 
