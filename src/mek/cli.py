@@ -8,7 +8,8 @@ Every oracle point, in ``sweep --oracle`` and in ``verify``, first fixes an
 ``OraclePlan``: the Fock cutoff, the builders' tail and boundary-leak
 tolerances and the spectrum's rank tolerance, from one rule per kind of state
 (squeezed, displaced, coherent product). Builders and reductions take every
-tolerance from the plan.
+tolerance from the plan, and the rule refuses a point whose peak bytes pass
+MEK_MEM_BUDGET before anything is built.
 """
 
 import argparse
@@ -101,7 +102,8 @@ class OraclePlan:
     tolerance. The squeezed families keep every eigenvalue (0.0): the low-order
     entropies need the whole geometric tail. The coherent and qubit-boson
     reductions have rank 1 or 2, so they drop entries below
-    spectra.DEFAULT_RANK_TOL as round-off.
+    spectra.DEFAULT_RANK_TOL as round-off. Each rule checks its route's peak
+    bytes against MEK_MEM_BUDGET (``_fitted``).
     """
 
     cutoff: FockCutoff
@@ -111,38 +113,57 @@ class OraclePlan:
 
     @classmethod
     def squeezed(cls, r: float, tail_tol: float, mu_list=()) -> "OraclePlan":
-        """Pair-squeezed vacuum, its occupation tail tightened for the orders below 1.
-
-        The mu-th powers of a geometric spectrum are again geometric; for orders
-        below 1 the power series decays more slowly than the probabilities, so
-        bounding its tail at ``tail_tol`` requires an occupation tail of
-        tail_tol^(1/mu). ValueError if that tail underflows to 0 in float64.
-        """
-        mu = min((mu for mu in mu_list if 0.0 < mu < 1.0), default=1.0)
-        tol = tail_tol ** (1.0 / mu)
-        if tol == 0.0:
-            raise ValueError(
-                f"Renyi order {mu:g} needs an occupation tail of {tail_tol:g}^(1/{mu:g}) ~ "
-                f"1e{math.log10(tail_tol) / mu:.0f}, which underflows float64; use a larger order"
-            )
-        return cls(fockspace.squeezed_cutoff(r, tol), tol)
+        """Pair-squeezed vacuum in Schmidt form, on ``_order_tail_tol``'s occupation tail."""
+        tol = _order_tail_tol(tail_tol, mu_list)
+        return cls(_fitted(fockspace.squeezed_cutoff(r, tol), 1), tol)
 
     @classmethod
     def displaced(cls, r: float, disp: DisplacementParams, tail_tol: float) -> "OraclePlan":
         """Displaced pair-squeezed state: the squeezed cutoff plus displacement headroom.
 
         The headroom keeps each displacement's own coherent tail below
-        ``tail_tol``; a guard band of 4 levels sits on top.
+        ``tail_tol``; a guard band of 4 levels sits on top. It is sized first, so an
+        amplitude past the coherent limit is reported before a squeezing past 2^53 levels.
         """
-        base = fockspace.squeezed_cutoff(r, tail_tol).n_max
         pad = max(fockspace.coherent_cutoff(a, tail_tol).n_max for a in (disp.alpha, disp.beta_b))
-        return cls(FockCutoff(base + pad + 4), tail_tol)
+        base = fockspace.squeezed_cutoff(r, tail_tol).n_max
+        return cls(_fitted(FockCutoff(base + pad + 4), 2, (disp.alpha, disp.beta_b)), tail_tol)
 
     @classmethod
     def coherent_product(cls, amplitudes, tail_tol: float) -> "OraclePlan":
         """Product of coherent states, one per amplitude: the coherent builders' tail rule."""
         cutoff = fockspace.coherent_product_cutoff(amplitudes, tail_tol)
+        _fitted(cutoff, len(amplitudes), amplitudes)
         return cls(cutoff, tail_tol, rank_tol=spectra.DEFAULT_RANK_TOL)
+
+
+def _order_tail_tol(tail_tol: float, mu_list) -> float:
+    """The occupation tail of a squeezed state whose orders ``mu_list`` keep ``tail_tol``.
+
+    The mu-th powers of a geometric spectrum are again geometric; for orders
+    below 1 the power series decays more slowly than the probabilities, so
+    bounding its tail at ``tail_tol`` requires an occupation tail of
+    tail_tol^(1/mu). ValueError if that tail underflows to 0 in float64.
+    """
+    mu = min((mu for mu in mu_list if 0.0 < mu < 1.0), default=1.0)
+    tol = tail_tol ** (1.0 / mu)
+    if tol == 0.0:
+        raise ValueError(
+            f"Renyi order {mu:g} needs an occupation tail of {tail_tol:g}^(1/{mu:g}) ~ "
+            f"1e{math.log10(tail_tol) / mu:.0f}, which underflows float64; use a larger order"
+        )
+    return tol
+
+
+def _fitted(cutoff: FockCutoff, modes: int, amplitudes=()) -> FockCutoff:
+    """``cutoff``, once 5.5 arrays of d^modes entries fit in MEK_MEM_BUDGET bytes.
+
+    An entry is 16 bytes if an amplitude is complex, else 8. tracemalloc puts every
+    oracle route's peak at 4 to 5 such arrays (d-vectors on the Schmidt route).
+    """
+    itemsize = 16 if any(complex(a).imag for a in amplitudes) else 8
+    fockspace.check_budget(11 * itemsize * cutoff.dim**modes // 2, f"the point at d = {cutoff.dim}")
+    return cutoff
 
 
 def _reduced_spectrum(
@@ -185,12 +206,11 @@ def oracle_squeezed_coherent_spectrum(
     r, disp, tail_tol=fockspace.DEFAULT_TAIL_TOL, mu_list=()
 ) -> spectra.EntanglementSpectrum:
     # S D(alpha, beta)|0> = D(alpha', beta') S|0>: pad for the reordered
-    # displacement, on the squeezed rule's tail for orders below 1
+    # displacement, on the squeezed rule's tail for orders below 1 (_order_tail_tol)
     params = SqueezedStateParams(r)
     reordered = fockspace.reordered_displacement(params, disp)
-    tol = OraclePlan.squeezed(r, tail_tol, mu_list).tail_tol
     try:
-        plan = OraclePlan.displaced(r, reordered, tol)
+        plan = OraclePlan.displaced(r, reordered, _order_tail_tol(tail_tol, mu_list))
     except ValueError as exc:  # a reordered amplitude past the coherent limit
         given = ", ".join(f"{a.real:g}" if a.imag == 0.0 else f"{a:g}"
                           for a in (disp.alpha, disp.beta_b))
@@ -316,13 +336,12 @@ def run_sweep(config: SweepConfig):
     for param in config.parameter_grid:
         params = family.params(param)
         beta, z, free_energy = family.model(params, config)
-        s_vn = family.entropy(params, 1.0)
-        s_2 = family.entropy(params, 2.0)
-        s_inf = family.entropy(params, math.inf)
+        closed = {mu: family.entropy(params, mu) for mu in (1.0, 2.0, math.inf)}
+        s_vn, s_2, s_inf = closed.values()
         purity = math.exp(-s_2)
         spectrum = family.oracle(params, config) if config.oracle else None
         for mu in config.mu_list:
-            s_mu = family.entropy(params, mu)
+            s_mu = closed[mu] if mu in closed else family.entropy(params, mu)
             row = [param, mu, s_mu, s_vn, s_2, purity, s_inf, beta, z, free_energy]
             if config.oracle:
                 oracle_value = analytic.renyi_general(spectrum, mu)
@@ -716,7 +735,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"families use alpha={SWEEP_DISPLACEMENT.alpha.real}, "
                             f"beta={SWEEP_DISPLACEMENT.beta_b.real}; "
                             "exit is nonzero if any finite deviation exceeds 1e-8 "
-                            "(order 0 on the squeezed family has no finite reference)")
+                            "(order 0 on the squeezed family has no finite reference); "
+                            "a point whose peak memory passes MEK_MEM_BUDGET bytes "
+                            "(default 2^32) exits 2")
     sweep.add_argument("--tail-tol", type=float, default=fockspace.DEFAULT_TAIL_TOL,
                        help="occupation tail tolerance of the --oracle states, in "
                             f"(0, {spectra.TRACE_TOL:g}] (default %(default)g)")

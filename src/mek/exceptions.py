@@ -15,7 +15,7 @@ class TailMassError(ValueError):
 
 
 class MemoryBudgetError(RuntimeError):
-    """Oracle state over MEK_MEM_BUDGET entries: dim^2 for two modes, 2 dim^n for qubit-boson."""
+    """An oracle point, or the dense read of a Schmidt-form state, passes MEK_MEM_BUDGET bytes."""
 
 
 class ContractError(ValueError):

@@ -25,7 +25,7 @@ enters an array, and nothing is promoted afterwards.
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,25 +34,26 @@ from .exceptions import ContractError, DimensionError, MemoryBudgetError, TailMa
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_LEAK_TOL = 1e-10  # probability an applied operator may push onto the truncation boundary
-DEFAULT_MEM_BUDGET = 2 ** 28  # state entries, not bytes
+DEFAULT_MEM_BUDGET = 2 ** 32  # bytes
 _MAX_EXACT_COUNT = 2 ** 53  # from here a float64 no longer tells n_max from n_max + 1
 
 
-def memory_budget() -> int:
-    """Cap on the entries of a state: dim^2 for two modes, 2 dim^n for the qubit-boson state.
+def check_budget(need: int, what: str):
+    """MemoryBudgetError if ``what`` needs more than MEK_MEM_BUDGET bytes (default 2^32).
 
-    MEK_MEM_BUDGET overrides the default 2^28; it counts entries, not bytes.
+    ValueError unless MEK_MEM_BUDGET, when set, is a finite positive number.
     """
     raw = os.environ.get("MEK_MEM_BUDGET", "")
-    return int(raw) if raw else DEFAULT_MEM_BUDGET
-
-
-def _check_budget(need: int, what: str):
-    """Raise MemoryBudgetError if ``need``, described by ``what``, exceeds memory_budget()."""
-    budget = memory_budget()
+    try:
+        budget = float(raw) if raw else DEFAULT_MEM_BUDGET
+    except ValueError:
+        budget = math.nan
+    if not 0.0 < budget < math.inf:
+        raise ValueError(f"MEK_MEM_BUDGET must be a positive number of bytes, got {raw!r}")
     if need > budget:
         raise MemoryBudgetError(
-            f"{what} is {need}, over the budget {budget}; reduce n_max or raise MEK_MEM_BUDGET"
+            f"{what} needs {need} bytes, over the budget of {int(budget)} bytes; "
+            "raise MEK_MEM_BUDGET"
         )
 
 
@@ -103,6 +104,7 @@ class SHParams:
     """Real per-mode displacements of a qubit-boson superposition state."""
 
     f: tuple
+    f_dot_f: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(float(x) for x in self.f)
@@ -111,14 +113,11 @@ class SHParams:
         if not all(math.isfinite(x) for x in values):
             raise ValueError(f"displacements must be finite, got {values}")
         object.__setattr__(self, "f", values)
+        object.__setattr__(self, "f_dot_f", math.fsum(x * x for x in values))
 
     @property
     def n_modes(self) -> int:
         return len(self.f)
-
-    @property
-    def f_dot_f(self) -> float:
-        return math.fsum(x * x for x in self.f)
 
 
 class ComplexAmplitudeTensor:
@@ -130,7 +129,8 @@ class ComplexAmplitudeTensor:
     or the boundary contamination measured after an operator acted. A state
     built in Schmidt form (``build_squeezed_vacuum``) stores only ``schmidt``,
     its diagonal amplitudes psi_nn, and ``amplitudes`` builds diag(schmidt) on
-    first read; for every other state ``schmidt`` is None.
+    first read, d^2 entries checked against ``check_budget`` (MemoryBudgetError
+    past it); for every other state ``schmidt`` is None.
     """
 
     def __init__(self, amplitudes: np.ndarray, mode_dims: tuple, tail_mass: float):
@@ -153,6 +153,8 @@ class ComplexAmplitudeTensor:
     @property
     def amplitudes(self) -> np.ndarray:
         if self._amplitudes is None:
+            d = self.schmidt.size
+            check_budget(self.schmidt.itemsize * d * d, f"the dense Schmidt-form state at d = {d}")
             self._amplitudes = np.diag(self.schmidt)
         return self._amplitudes
 
@@ -433,7 +435,6 @@ def build_coherent_two_mode(
     ``tail_tol``.
     """
     _check_tol(tail_tol)
-    _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     amps = _coherent_product((params.alpha, params.beta_b), cutoff, tail_tol)
     tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
     return ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), tail_mass)
@@ -446,8 +447,6 @@ def build_squeezed_vacuum(
 ) -> ComplexAmplitudeTensor:
     """Pair-squeezed vacuum in Schmidt form, stored as psi_nn = e^{i n theta} tanh^n r / cosh r."""
     _check_tol(tail_tol)
-    # reading ``amplitudes`` builds the dense d x d array, so the dim^2 budget stays
-    _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     _check_squeezed_tail(params.r, cutoff, tail_tol)
     if params.r == 0.0:
         schmidt = np.zeros(cutoff.dim, dtype=float if params.theta == 0.0 else complex)
@@ -595,10 +594,9 @@ def build_squeezed_coherent(
     geometric tail, exceeds ``tail_tol``. Opposed squeezing and displacement
     phases cancel digits: 5.6e-8 at alpha = beta = 4, r = 1.2, theta = pi
     (n_max = 100), against 1e-15 at alpha = beta = 2. r = 0 is
-    ``build_coherent_two_mode``; the budget counts dim^2 entries.
+    ``build_coherent_two_mode``.
     """
     _check_tol(tail_tol)
-    _check_budget(cutoff.dim ** 2, "two-mode state entries dim^2")
     _check_squeezed_tail(params_s.r, cutoff, tail_tol)
     if params_s.r == 0.0:
         return build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
@@ -641,7 +639,6 @@ def build_silbey_harris(
     """
     _check_tol(tail_tol)
     dims = (2,) + (cutoff.dim,) * params.n_modes
-    _check_budget(math.prod(dims), "qubit-boson state entries 2 dim^n_modes")
     amps = np.stack((
         _coherent_product(params.f, cutoff, tail_tol),
         -_coherent_product(tuple(-f_k for f_k in params.f), cutoff, tail_tol),

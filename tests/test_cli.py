@@ -1,9 +1,11 @@
 import inspect
 import json
 import math
+import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mek import analytic, cli, fockspace, spectra, thermo
+from mek.exceptions import MemoryBudgetError
 from mek.cli import (
     SweepConfig,
     SWEEP_HEADER,
@@ -244,6 +247,111 @@ class TestOraclePlan:
             assert cutoff in (None, plan.cutoff), name
 
 
+def _budget_refusal(call, monkeypatch):
+    """(d, bytes) that ``call``'s MemoryBudgetError names under a 1-byte budget."""
+    monkeypatch.setenv("MEK_MEM_BUDGET", "1")
+    with pytest.raises(MemoryBudgetError) as err:
+        call()
+    match = re.search(r" d = (\d+) needs (\d+) bytes, over the budget of 1 bytes", str(err.value))
+    assert match and "MEK_MEM_BUDGET" in str(err.value), str(err.value)
+    return int(match[1]), int(match[2])
+
+
+class TestMemoryBudget:
+    """Each plan rule checks its route's peak bytes against MEK_MEM_BUDGET, before any build."""
+
+    RULES = {
+        "squeezed": lambda: cli.OraclePlan.squeezed(1.0, 1e-12, [0.5, 1.0]),
+        "displaced": lambda: cli.OraclePlan.displaced(1.0, cli.SWEEP_DISPLACEMENT, 1e-12),
+        "coherent-product": lambda: cli.OraclePlan.coherent_product((1.0, 0.5), 1e-12),
+        "qubit-boson": lambda: cli.OraclePlan.coherent_product((0.4, 0.3, 0.2), 1e-12),
+    }
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_rule_refuses_below_its_estimate_and_admits_at_it(self, rule, monkeypatch):
+        dim, need = _budget_refusal(self.RULES[rule], monkeypatch)
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(need - 1))
+        with pytest.raises(MemoryBudgetError, match=f"needs {need} bytes, over the budget of"):
+            self.RULES[rule]()
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(need))
+        assert self.RULES[rule]().cutoff.dim == dim
+
+    @pytest.mark.parametrize("plan", [
+        lambda a, b: cli.OraclePlan.displaced(1.0, fockspace.DisplacementParams(a, b), 1e-12),
+        lambda a, b: cli.OraclePlan.coherent_product((a, b), 1e-12),
+    ], ids=["displaced", "coherent-product"])
+    def test_complex_parameters_count_16_bytes_an_entry(self, plan, monkeypatch):
+        # same moduli, so the same d; each entry is a complex128
+        dim, need = _budget_refusal(lambda: plan(0.5, 0.3), monkeypatch)
+        assert _budget_refusal(lambda: plan(0.5j, -0.3j), monkeypatch) == (dim, 2 * need)
+
+    @pytest.mark.parametrize("family, param", [
+        ("squeezed", 4.5),             # d = 111,949, on the Schmidt route
+        ("displaced-squeezed", 1.8),   # d = 266
+        ("squeezed-coherent", 1.5),    # d = 317
+        ("coherent", 15.0),            # d = 341
+        ("silbey-harris", 288.0),      # d = 238 on each of 2 modes
+    ])
+    def test_estimate_bounds_the_measured_peak(self, family, param, monkeypatch):
+        entry = cli.FAMILY_TABLE[family]
+        config = SweepConfig(family, [param], [0.5, 1.0, 2.0, math.inf], oracle=True)
+        params = entry.params(param)
+        _, estimate = _budget_refusal(lambda: entry.oracle(params, config), monkeypatch)
+        monkeypatch.delenv("MEK_MEM_BUDGET")
+        tracemalloc.start()  # numpy reports its allocations to tracemalloc
+        try:
+            entry.oracle(params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate <= 1.5 * peak, (peak, estimate)
+
+    def test_schmidt_route_runs_past_the_old_entry_cap(self, monkeypatch, capsys):
+        # d = 41,183 at order 0.5: d^2 was 1.7e9 entries against a cap of 2^28
+        monkeypatch.delenv("MEK_MEM_BUDGET", raising=False)
+        argv = ["sweep", "--family", "squeezed", "--oracle", "--grid", "4", "--mu", "0.5,1,2,inf"]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4 and max(float(row.split(",")[-1]) for row in rows) <= 1e-8
+
+    def test_dense_route_is_refused_before_it_allocates(self, monkeypatch, deadline, capsys):
+        # d = 15,482: eleven float64 d x d arrays at the peak, past the default 2^32 bytes
+        monkeypatch.delenv("MEK_MEM_BUDGET", raising=False)
+        deadline(10.0)
+        argv = ["sweep", "--family", "squeezed-coherent", "--oracle", "--grid", "3.5",
+                "--mu", "0.5,1"]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 10**7
+        err = capsys.readouterr().err
+        assert " d = 15482 needs " in err and "over the budget of 4294967296 bytes" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "0", "-0.0", "inf", "nan", "1e400", "2^32"])
+    def test_unreadable_budget_exits_2_naming_the_variable(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("MEK_MEM_BUDGET", raw)
+        code = cli.main(["sweep", "--family", "squeezed", "--oracle", "--grid", "0.5", "--mu", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"MEK_MEM_BUDGET must be a positive number of bytes, got '{raw}'"
+        assert captured.err == f"mek: {message}\n"
+
+    @pytest.mark.parametrize("raw, budget", [
+        ("1e9", 10**9), ("4e9", 4 * 10**9), ("4294967296", 2**32), (" 12345.7 ", 12345),
+    ])
+    def test_budget_is_any_positive_number_of_bytes(self, raw, budget, monkeypatch):
+        monkeypatch.setenv("MEK_MEM_BUDGET", raw)
+        fockspace.check_budget(budget, "a point")
+        with pytest.raises(MemoryBudgetError, match=f"over the budget of {budget} bytes"):
+            fockspace.check_budget(budget + 1, "a point")
+        assert cli.main(["sweep", "--family", "squeezed", "--oracle", "--grid", "0.5",
+                         "--mu", "1", "--out", "/dev/null"]) == 0
+
+
 class TestReducedSpectrum:
     @pytest.mark.parametrize("family", cli.FAMILIES)
     def test_one_reduction_per_state(self, family, monkeypatch):
@@ -271,6 +379,20 @@ class TestRunSweep:
         for mu in (1.0, 2.0, math.inf):
             values = [row[2] for row in rows if row[1] == mu]
             assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_each_closed_form_is_evaluated_once_per_order(self, monkeypatch):
+        # orders 1, 2 and inf reuse the S_vn, S_2 and S_inf columns of the point
+        calls = []
+        original = analytic.renyi_squeezed
+
+        def counting(r, mu):
+            calls.append(mu)
+            return original(r, mu)
+
+        monkeypatch.setattr(analytic, "renyi_squeezed", counting)
+        _, rows, _ = run_sweep(SweepConfig("squeezed", [0.7], [0.5, 1.0, 2.0, math.inf]))
+        assert sorted(calls) == [0.5, 1.0, 2.0, math.inf]
+        assert [row[2] for row in rows] == [original(0.7, mu) for mu in (0.5, 1.0, 2.0, math.inf)]
 
     def test_oracle_squeezed(self):
         config = SweepConfig(
@@ -599,7 +721,7 @@ class TestMainEntry:
         assert "1e-320" in captured.err
 
     def test_oracle_memory_budget_exceeded(self, monkeypatch, capsys):
-        # the squeezed coherent state counts dim^2 entries, as every two-mode state does
+        # the plan refuses a point whose peak bytes pass MEK_MEM_BUDGET, naming d and the bytes
         argv = ["sweep", "--family", "squeezed-coherent", "--grid", "0.5", "--mu", "1",
                 "--oracle"]
         plans = []
@@ -611,14 +733,23 @@ class TestMainEntry:
 
         monkeypatch.setattr(cli, "_reduced_spectrum", capturing)
         assert cli.main(argv) == 0
-        entries = plans[0].cutoff.dim ** 2
-        monkeypatch.setenv("MEK_MEM_BUDGET", str(entries - 1))
+        dim = plans[0].cutoff.dim
+        monkeypatch.setenv("MEK_MEM_BUDGET", "1")
         capsys.readouterr()
         assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"dim^2 is {entries}" in err and "MEK_MEM_BUDGET" in err
-        monkeypatch.setenv("MEK_MEM_BUDGET", str(entries))
+        captured = capsys.readouterr()
+        match = re.fullmatch(
+            rf"mek: .* d = {dim} needs (\d+) bytes, over the budget of 1 bytes; .*MEK_MEM_BUDGET\n",
+            captured.err,
+        )
+        assert match and captured.out == "", captured.err
+        need = int(match[1])
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(need - 1))
+        assert cli.main(argv) == 2
+        assert f"needs {need} bytes, over the budget of {need - 1} bytes" in capsys.readouterr().err
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(need))
         assert cli.main(argv) == 0
+        assert len(plans) == 2
 
     @pytest.mark.parametrize("family", ["squeezed", "displaced-squeezed", "squeezed-coherent"])
     @pytest.mark.parametrize("grid", ["10", "27", "28", "40"])
@@ -645,7 +776,7 @@ class TestMainEntry:
             cli.oracle_squeezed_coherent_spectrum(10.0, cli.SWEEP_DISPLACEMENT)
 
     def test_squeezed_vacuum_memory_budget_exceeded(self, monkeypatch, capsys):
-        # the squeezed-vacuum state (dim^2 entries) is checked against the budget too
+        # the Schmidt route is checked against the budget too, in bytes
         monkeypatch.setenv("MEK_MEM_BUDGET", "1000")
         code = cli.main(["sweep", "--family", "squeezed", "--oracle", "--grid", "1", "--mu", "1"])
         assert code == 2

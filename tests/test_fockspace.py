@@ -614,24 +614,6 @@ class TestSqueezedCoherent:
                 SqueezedStateParams(0.1), DisplacementParams(30.0, 30.0), FockCutoff(10)
             )
 
-    def test_memory_budget_enforced(self, monkeypatch):
-        monkeypatch.setenv("MEK_MEM_BUDGET", "1000")
-        with pytest.raises(MemoryBudgetError):
-            build_squeezed_coherent(
-                SqueezedStateParams(0.3),
-                DisplacementParams(0.1, 0.1),
-                FockCutoff(31),
-            )
-
-    def test_budget_counts_state_entries(self, monkeypatch):
-        # the state holds dim^2 entries, as every two-mode builder counts
-        args = (SqueezedStateParams(0.3), DisplacementParams(0.1, 0.1), FockCutoff(19))
-        monkeypatch.setenv("MEK_MEM_BUDGET", "400")
-        assert build_squeezed_coherent(*args).amplitudes.shape == (20, 20)
-        monkeypatch.setenv("MEK_MEM_BUDGET", "399")
-        with pytest.raises(MemoryBudgetError, match="dim\\^2 is 400"):
-            build_squeezed_coherent(*args)
-
 
 class TestDtypeRule:
     """Amplitudes are float64 when every parameter of a build is real, else complex128."""
@@ -735,18 +717,17 @@ class TestSilbeyHarris:
         state = build_silbey_harris(SHParams((0.4, 0.2)), FockCutoff(20))
         assert abs(1.0 - state.norm() ** 2) < 1e-12
 
-    def test_memory_budget(self, monkeypatch):
-        monkeypatch.setenv("MEK_MEM_BUDGET", "100")
-        with pytest.raises(MemoryBudgetError) as err:
-            build_silbey_harris(SHParams((0.1, 0.1, 0.1)), FockCutoff(20))
-        assert "n_max" in str(err.value)
-
-    def test_env_var_overrides_budget(self, monkeypatch):
-        monkeypatch.setenv("MEK_MEM_BUDGET", "50")
-        with pytest.raises(MemoryBudgetError):
-            build_silbey_harris(SHParams((0.1,)), FockCutoff(30))
-        monkeypatch.setenv("MEK_MEM_BUDGET", "100000")
-        build_silbey_harris(SHParams((0.1,)), FockCutoff(30))
+    def test_dot_product_is_summed_once(self, monkeypatch):
+        params = SHParams([0.1, 0.2, 0.3])
+        assert params.f_dot_f == math.fsum(x * x for x in (0.1, 0.2, 0.3))
+        sums = []
+        monkeypatch.setattr(math, "fsum", lambda values: sums.append(values) or 0.0)
+        assert [params.f_dot_f for _ in range(20)] == [params.f_dot_f] * 20
+        assert sums == []
+        # equality, hash and repr depend on f alone
+        assert params == SHParams((0.1, 0.2, 0.3)) != SHParams((0.3, 0.2, 0.1))
+        assert hash(params) == hash(SHParams((0.1, 0.2, 0.3)))
+        assert repr(params) == "SHParams(f=(0.1, 0.2, 0.3))"
 
     def test_requires_a_mode(self):
         with pytest.raises(ValueError):
@@ -793,3 +774,38 @@ def test_doubling_cutoff_changes_entropies_within_tail_bound():
             values.append(analytic.renyi_general(spectrum, mu))
         change = abs(values[1] - values[0])
         assert change <= max(10.0 * _entropy_tail_bound(r, mu, base.n_max), 1e-15)
+
+
+class TestMemoryBudget:
+    """The oracle plan checks each point's bytes; the builders never read MEK_MEM_BUDGET."""
+
+    def test_builders_do_not_read_the_budget(self, monkeypatch):
+        # an unreadable budget raises wherever it is read
+        monkeypatch.setenv("MEK_MEM_BUDGET", "not a number")
+        with pytest.raises(ValueError, match="MEK_MEM_BUDGET"):
+            fockspace.check_budget(1, "a point")
+        disp, cutoff = DisplacementParams(0.3, 0.2), FockCutoff(30)
+        build_coherent_two_mode(disp, cutoff)
+        build_squeezed_vacuum(SqueezedStateParams(0.5), cutoff)
+        build_squeezed_coherent(SqueezedStateParams(0.3), disp, cutoff)
+        build_silbey_harris(SHParams((0.1, 0.1, 0.1)), FockCutoff(20))
+
+    @pytest.mark.parametrize("theta, itemsize", [(0.0, 8), (1.1, 16)])
+    def test_dense_read_of_a_schmidt_state_is_budgeted(self, theta, itemsize, monkeypatch):
+        # the d x d array that the first read of amplitudes builds
+        state = build_squeezed_vacuum(SqueezedStateParams(0.8, theta), FockCutoff(40))
+        need = itemsize * 41 * 41
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(need - 1))
+        with pytest.raises(MemoryBudgetError, match=f"d = 41 needs {need} bytes") as err:
+            state.amplitudes
+        assert "MEK_MEM_BUDGET" in str(err.value)
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(need))
+        assert state.amplitudes.shape == (41, 41)
+
+    def test_large_schmidt_state_is_refused_at_the_default_budget(self, monkeypatch):
+        # 192 KB as a Schmidt vector; 8 d^2 = 4.6e9 bytes as a dense array, past 2^32
+        monkeypatch.delenv("MEK_MEM_BUDGET", raising=False)
+        state = build_squeezed_vacuum(SqueezedStateParams(4.0), FockCutoff(23_999))
+        assert state.schmidt.nbytes == 192_000
+        with pytest.raises(MemoryBudgetError, match="d = 24000 needs 4608000000 bytes"):
+            state.amplitudes
