@@ -24,6 +24,7 @@ slope -Var / 2 <= 0, so it is monotone.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .spectra import DEFAULT_RANK_TOL, EntanglementSpectrum, schmidt_rank
 
 
 _NEAR_ONE = 1e-5  # orders with |mu - 1| below this take the first-order expansion
+# |ln p| <= 745 for every positive double p, so mu ln p can overflow only past this
+# order; there mu / (mu - 1) is 1 and S_mu is S_inf to double precision
+_HUGE_ORDER = sys.float_info.max / 745.0
 
 
 def _check_order(mu: float) -> float:
@@ -85,8 +89,9 @@ def renyi_squeezed(r: float, mu: float) -> float:
 
     General orders use [ln(1 - tanh^{2 mu} r) + 2 mu ln cosh r] / (mu - 1)
     in a ln(1 - e^x) form that survives large r and large mu; the 0 and inf
-    orders dispatch to their closed-form limits, and orders near 1 take the
-    expansion about S_1 (module docstring).
+    orders dispatch to their closed-form limits, as does an order past
+    ``_HUGE_ORDER`` or one whose 2 mu ln cosh r overflows (S_mu is S_inf to an
+    ulp there), and orders near 1 take the expansion about S_1 (module docstring).
     """
     if r < 0.0:
         raise ValueError(f"squeezing magnitude must be non-negative, got {r}")
@@ -97,7 +102,7 @@ def renyi_squeezed(r: float, mu: float) -> float:
         return math.inf  # countably infinite Schmidt rank
     lc = log_cosh(r)
     lt = log_tanh(r)
-    if math.isinf(mu):
+    if mu > _HUGE_ORDER or math.isinf(2.0 * mu * lc):  # inf, or 2 mu ln cosh r overflows
         return 2.0 * lc
     if abs(mu - 1.0) < _NEAR_ONE:
         # -ln p_n = 2 ln cosh r - 2 n ln tanh r, and n is geometric with
@@ -179,7 +184,9 @@ def renyi_general(spectrum: EntanglementSpectrum, mu: float) -> float:
     geometric tails neither underflow nor lose the head term. Orders near 1
     take the expansion about S_1 (module docstring) with the variance of
     -ln p over the kept entries. Outside that window a spectrum summing to
-    1 - delta also shifts S_mu by about delta / |mu - 1|.
+    1 - delta also shifts S_mu by about delta / |mu - 1|. Past ``_HUGE_ORDER``
+    the power sum with p_max^mu factored out is the count of entries tied at
+    p_max, whose log over mu - 1 is below an ulp of -ln p_max: S_mu reads S_inf.
     """
     mu = _check_order(mu)
     probs = spectrum.probabilities
@@ -191,7 +198,7 @@ def renyi_general(spectrum: EntanglementSpectrum, mu: float) -> float:
         raise ContractError("no spectrum entries above the rank tolerance")
     if mu == 0.0:
         return math.log(schmidt_rank(spectrum))
-    if math.isinf(mu):
+    if mu > _HUGE_ORDER:  # inf too
         return -math.log(float(np.max(probs)))
     logs = np.log(kept)
     if abs(mu - 1.0) < _NEAR_ONE:

@@ -159,7 +159,11 @@ def _fitted(cutoff: FockCutoff, modes: int, amplitudes=()) -> FockCutoff:
     """``cutoff``, once 5.5 arrays of d^modes entries fit in MEK_MEM_BUDGET bytes.
 
     An entry is 16 bytes if an amplitude is complex, else 8. tracemalloc puts every
-    oracle route's peak at 4 to 5 such arrays (d-vectors on the Schmidt route).
+    oracle route's peak at 4 to 5 such arrays (d-vectors on the Schmidt route), so
+    peak <= estimate holds only from d of a few hundred up: below that, fixed costs
+    lead. The squeezed rule cannot see theta, and a complex Schmidt vector (theta = 1)
+    peaks at about 20 kB against 12,232 bytes at d = 278, but at 12.18 MB against
+    13.39 MB at d = 304,307.
     """
     itemsize = 16 if any(complex(a).imag for a in amplitudes) else 8
     fockspace.check_budget(11 * itemsize * cutoff.dim**modes // 2, f"the point at d = {cutoff.dim}")
@@ -324,7 +328,7 @@ FAMILIES = tuple(FAMILY_TABLE)
 def run_sweep(config: SweepConfig):
     """Compute all sweep rows; returns (header, rows, exit_code).
 
-    The exit code is nonzero when any finite oracle deviation exceeds 1e-8.
+    The exit code is nonzero when any oracle deviation exceeds 1e-8 or is NaN.
     Rows whose analytic value is infinite (order-0 entropy of the squeezed
     family, whose Schmidt rank is not finite) report an infinite deviation but
     are not counted as failures, since no truncated check can converge there.
@@ -347,7 +351,7 @@ def run_sweep(config: SweepConfig):
                 oracle_value = analytic.renyi_general(spectrum, mu)
                 deviation = abs(s_mu - oracle_value)
                 row.extend([oracle_value, deviation])
-                if math.isfinite(deviation) and deviation > ORACLE_DEV_LIMIT:
+                if not (math.isinf(s_mu) or deviation <= ORACLE_DEV_LIMIT):
                     failed = True
             rows.append(row)
     return header, rows, (1 if failed else 0)
@@ -401,13 +405,11 @@ def _padded_max_diff(a, b) -> float:
     return float(np.max(np.abs(pa - pb)))
 
 
-def run_verification(seed: int = 0, _corrupt: str | None = None):
+def run_verification(seed: int = 0):
     """Run the full cross-check battery on seeded pseudo-random parameters.
 
     Every truncated state is built at ``fockspace.DEFAULT_TAIL_TOL``. Returns
-    a list of CheckResult in a fixed order. ``_corrupt`` is a test hook:
-    "normalization" tampers with one spectrum so the battery must report the
-    spectrum-normalization check as failed.
+    a list of CheckResult in a fixed order.
     """
     tail_tol = fockspace.DEFAULT_TAIL_TOL
     rng = np.random.default_rng(seed)
@@ -420,11 +422,7 @@ def run_verification(seed: int = 0, _corrupt: str | None = None):
     dev = 0.0
     for r in rng.uniform(0.2, 1.2, size=3):
         spectrum = oracle_squeezed_spectrum(r, tail_tol=tail_tol)
-        probs = spectrum.probabilities
-        if _corrupt == "normalization":
-            probs = probs * 0.9
-            _corrupt = None
-        dev = max(dev, abs(float(np.sum(probs)) - 1.0))
+        dev = max(dev, abs(float(np.sum(spectrum.probabilities)) - 1.0))
     record("spectrum-normalization", dev, 1e-10)
 
     # builder norms stay within the tail tolerance

@@ -6,7 +6,13 @@ class DimensionError(ValueError):
 
 
 class TailMassError(ValueError):
-    """Truncated occupation basis is too small for the requested tail tolerance."""
+    """A truncation drops more probability than its tolerance allows.
+
+    The dropped probability, ``measured``, is an occupation tail (geometric or
+    Poisson), the boundary leak of a displacement, or the mass a state puts
+    outside its box. ``required_n_max`` is the cutoff rule's answer for the
+    tails, and None for the leak and the out-of-box mass, which have no rule.
+    """
 
     def __init__(self, message, required_n_max=None, measured=None):
         super().__init__(message)

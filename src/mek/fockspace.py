@@ -15,6 +15,11 @@ obviously correct: it is the independent numerical route against which the
 closed forms in :mod:`mek.analytic` are checked, so it must not share any
 formula with them.
 
+Every truncation check goes through ``_check_tail``: the geometric tail of
+a pair squeeze, each coherent mode's share of the Poisson tail, the
+probability a displacement pushes onto the boundary, and the mass a squeezed
+coherent state puts outside its box. Each state records its own norm defect.
+
 The dtype follows the data: a build whose parameters are all real (squeezing
 angle 0, real displacements, every qubit-boson state) gives float64 arrays
 from the ladder matrices through the exponentials to the amplitudes, and any
@@ -26,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -125,8 +131,9 @@ class ComplexAmplitudeTensor:
 
     ``amplitudes`` has shape ``mode_dims`` (one axis per factor's occupation
     number), float64 for real or integer input and complex128 for complex.
-    ``tail_mass`` is the probability the truncation neglects: 1 - <psi|psi>,
-    or the boundary contamination measured after an operator acted. A state
+    ``tail_mass`` is the probability the truncation neglects: the given bound
+    (the boundary leak after an operator acted), floored at the norm defect
+    1 - <psi|psi> that the state records itself. A state
     built in Schmidt form (``build_squeezed_vacuum``) stores only ``schmidt``,
     its diagonal amplitudes psi_nn, and ``amplitudes`` builds diag(schmidt) on
     first read, d^2 entries checked against ``check_budget`` (MemoryBudgetError
@@ -141,13 +148,13 @@ class ComplexAmplitudeTensor:
                 f"amplitude shape {amps.shape} does not match mode_dims {self.mode_dims}"
             )
         self._amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
-        self.tail_mass, self.schmidt = tail_mass, None
+        self.tail_mass, self.schmidt = _floored(tail_mass, self._amplitudes), None
 
     @classmethod
-    def _from_schmidt(cls, schmidt: np.ndarray, tail_mass: float) -> "ComplexAmplitudeTensor":
+    def _from_schmidt(cls, schmidt: np.ndarray) -> "ComplexAmplitudeTensor":
         state = cls.__new__(cls)
         state._amplitudes, state.schmidt = None, schmidt
-        state.mode_dims, state.tail_mass = (schmidt.size,) * 2, tail_mass
+        state.mode_dims, state.tail_mass = (schmidt.size,) * 2, _floored(0.0, schmidt)
         return state
 
     @property
@@ -161,6 +168,11 @@ class ComplexAmplitudeTensor:
     def norm(self) -> float:
         """Euclidean norm sqrt(<psi|psi>)."""
         return float(np.linalg.norm(self.amplitudes.ravel()))
+
+
+def _floored(tail_mass: float, amplitudes: np.ndarray) -> float:
+    """``tail_mass``, or the norm defect 1 - <psi|psi> of ``amplitudes`` if larger."""
+    return max(tail_mass, 0.0, 1.0 - float(np.vdot(amplitudes, amplitudes).real))
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +369,18 @@ def _check_tol(tail_tol: float):
         raise ValueError(f"tail tolerance must lie in (0, 1), got {tail_tol}")
 
 
-def _check_squeezed_tail(r: float, cutoff: FockCutoff, tail_tol: float):
-    """Raise TailMassError if the geometric tail beyond the cutoff exceeds tail_tol."""
-    tail = squeezed_tail_mass(r, cutoff.n_max)
-    if tail > tail_tol:
-        needed = squeezed_cutoff(r, tail_tol).n_max
+def _check_tail(what: str, tail: float, tol: float, n_max: int, rule=None):
+    """TailMassError if ``tail``, the probability a truncation at ``n_max`` drops, exceeds ``tol``.
+
+    ``rule``, for a truncation with a cutoff rule, returns the smallest
+    FockCutoff that keeps the tail within ``tol``; it runs only on failure,
+    and the error names its n_max.
+    """
+    if tail > tol:
+        needed = rule().n_max if rule else None
+        hint = "increase n_max" if needed is None else f"need n_max >= {needed}"
         raise TailMassError(
-            f"geometric tail {tail:.3e} exceeds {tail_tol:.3e} at n_max={cutoff.n_max}; "
-            f"need n_max >= {needed}",
+            f"{what} {tail:.3e} exceeds {tol:.3e} at n_max={n_max}; {hint}",
             required_n_max=needed,
             measured=tail,
         )
@@ -403,25 +419,18 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     return out
 
 
-def _coherent_product(amplitudes, cutoff: FockCutoff, tail_tol: float) -> np.ndarray:
-    """Outer product of the modes' coherent amplitudes, one tensor axis per mode.
+def _coherent_products(branches, cutoff: FockCutoff, tail_tol: float) -> list:
+    """Outer product of each branch's coherent amplitudes, one tensor axis per mode.
 
-    TailMassError if a mode's tail exceeds the ``coherent_product_cutoff`` rule.
+    The branches agree in modulus mode by mode, so one check of the first
+    branch's Poisson tails against the ``coherent_product_cutoff`` rule covers all.
     """
-    per_mode = tail_tol / len(amplitudes)
-    tail = max(coherent_tail_mass(amp, cutoff.n_max) for amp in amplitudes)
-    if tail > per_mode:
-        needed = coherent_product_cutoff(amplitudes, tail_tol).n_max
-        raise TailMassError(
-            f"coherent tail {tail:.3e} exceeds its share {per_mode:.3e} of the tail budget "
-            f"at n_max={cutoff.n_max}; need n_max >= {needed}",
-            required_n_max=needed,
-            measured=tail,
-        )
-    out = coherent_amplitudes(amplitudes[0], cutoff.n_max)
-    for amp in amplitudes[1:]:
-        out = np.multiply.outer(out, coherent_amplitudes(amp, cutoff.n_max))
-    return out
+    first = branches[0]
+    tail = max(coherent_tail_mass(amp, cutoff.n_max) for amp in first)
+    _check_tail("per-mode coherent tail", tail, tail_tol / len(first), cutoff.n_max,
+                lambda: coherent_product_cutoff(first, tail_tol))
+    return [reduce(np.multiply.outer, [coherent_amplitudes(amp, cutoff.n_max) for amp in branch])
+            for branch in branches]
 
 
 def build_coherent_two_mode(
@@ -435,9 +444,8 @@ def build_coherent_two_mode(
     ``tail_tol``.
     """
     _check_tol(tail_tol)
-    amps = _coherent_product((params.alpha, params.beta_b), cutoff, tail_tol)
-    tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    return ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), tail_mass)
+    (amps,) = _coherent_products([(params.alpha, params.beta_b)], cutoff, tail_tol)
+    return ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), 0.0)
 
 
 def build_squeezed_vacuum(
@@ -447,7 +455,8 @@ def build_squeezed_vacuum(
 ) -> ComplexAmplitudeTensor:
     """Pair-squeezed vacuum in Schmidt form, stored as psi_nn = e^{i n theta} tanh^n r / cosh r."""
     _check_tol(tail_tol)
-    _check_squeezed_tail(params.r, cutoff, tail_tol)
+    _check_tail("geometric tail", squeezed_tail_mass(params.r, cutoff.n_max), tail_tol,
+                cutoff.n_max, lambda: squeezed_cutoff(params.r, tail_tol))
     if params.r == 0.0:
         schmidt = np.zeros(cutoff.dim, dtype=float if params.theta == 0.0 else complex)
         schmidt[0] = 1.0
@@ -457,8 +466,7 @@ def build_squeezed_vacuum(
         if params.theta != 0.0:
             exponent = exponent + 1j * ns * params.theta
         schmidt = np.exp(exponent)
-    tail_mass = max(0.0, 1.0 - float(np.vdot(schmidt, schmidt).real))
-    return ComplexAmplitudeTensor._from_schmidt(schmidt, tail_mass)
+    return ComplexAmplitudeTensor._from_schmidt(schmidt)
 
 
 def displacement_generator(alpha: complex, n_max: int) -> np.ndarray:
@@ -466,21 +474,6 @@ def displacement_generator(alpha: complex, n_max: int) -> np.ndarray:
     alpha = _real_if_exact(alpha)
     a = annihilation_matrix(n_max)
     return alpha * a.T - np.conj(alpha) * a
-
-
-def _check_boundary_leak(amps: np.ndarray, tail_tol: float) -> float:
-    """Probability on any top-level index of a displaced ``amps``; TailMassError past tail_tol."""
-    leak = 0.0
-    for axis in range(amps.ndim):
-        edge = np.take(amps, amps.shape[axis] - 1, axis=axis)
-        leak += float(np.vdot(edge, edge).real)
-    if leak > tail_tol:
-        raise TailMassError(
-            f"displacement pushed {leak:.3e} probability onto the truncation boundary "
-            f"(tolerance {tail_tol:.3e}); increase n_max",
-            measured=leak,
-        )
-    return leak
 
 
 def _phased(op: np.ndarray, amplitude: complex) -> np.ndarray:
@@ -542,9 +535,10 @@ def apply_two_mode_displacement(
     # op_a diag(s) = op_a * s, bit for bit, with no d x d state
     left = op_a @ state.amplitudes if state.schmidt is None else op_a * state.schmidt
     amps = left @ op_b.T
-    leak = _check_boundary_leak(amps, tail_tol)
-    tail_mass = max(state.tail_mass, leak, 1.0 - float(np.vdot(amps, amps).real))
-    return ComplexAmplitudeTensor(amps, state.mode_dims, tail_mass)
+    edges = (np.take(amps, dim - 1, axis=axis) for axis, dim in enumerate(amps.shape))
+    leak = sum(float(np.vdot(edge, edge).real) for edge in edges)
+    _check_tail("boundary leak", leak, tail_tol, max(state.mode_dims) - 1)
+    return ComplexAmplitudeTensor(amps, state.mode_dims, max(state.tail_mass, leak))
 
 
 def reordered_displacement(
@@ -597,7 +591,8 @@ def build_squeezed_coherent(
     ``build_coherent_two_mode``.
     """
     _check_tol(tail_tol)
-    _check_squeezed_tail(params_s.r, cutoff, tail_tol)
+    _check_tail("geometric tail", squeezed_tail_mass(params_s.r, cutoff.n_max), tail_tol,
+                cutoff.n_max, lambda: squeezed_cutoff(params_s.r, tail_tol))
     if params_s.r == 0.0:
         return build_coherent_two_mode(params_d, cutoff, tail_tol=tail_tol)
     cosh_r = math.cosh(params_s.r)
@@ -615,14 +610,9 @@ def build_squeezed_coherent(
     for n in range(1, cutoff.dim):
         psi[n] = (alpha / (cosh_r * root_m[n])) * psi[n - 1]
         psi[n, 1:] += (raise_b / root_m[n]) * psi[n - 1, :-1]
-    tail_mass = max(0.0, 1.0 - float(np.vdot(psi, psi).real))
-    if tail_mass > tail_tol:
-        raise TailMassError(
-            f"the squeezed coherent state puts {tail_mass:.3e} probability outside the box "
-            f"(tolerance {tail_tol:.3e}) at n_max={cutoff.n_max}; increase n_max",
-            measured=tail_mass,
-        )
-    return ComplexAmplitudeTensor(psi, (cutoff.dim, cutoff.dim), tail_mass)
+    state = ComplexAmplitudeTensor(psi, (cutoff.dim, cutoff.dim), 0.0)
+    _check_tail("mass outside the box", state.tail_mass, tail_tol, cutoff.n_max)
+    return state
 
 
 def build_silbey_harris(
@@ -639,10 +629,7 @@ def build_silbey_harris(
     """
     _check_tol(tail_tol)
     dims = (2,) + (cutoff.dim,) * params.n_modes
-    amps = np.stack((
-        _coherent_product(params.f, cutoff, tail_tol),
-        -_coherent_product(tuple(-f_k for f_k in params.f), cutoff, tail_tol),
-    ))
+    amps = np.stack(_coherent_products([params.f, [-f_k for f_k in params.f]], cutoff, tail_tol))
+    amps[1] *= -1.0
     amps /= math.sqrt(2.0)
-    tail_mass = max(0.0, 1.0 - float(np.vdot(amps, amps).real))
-    return ComplexAmplitudeTensor(amps, dims, tail_mass)
+    return ComplexAmplitudeTensor(amps, dims, 0.0)

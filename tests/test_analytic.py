@@ -372,6 +372,33 @@ class TestRenyiGeneral:
                 renyi_general(spectrum, mu)
 
 
+class TestHugeOrders:
+    """Orders past ~2.4e305, where mu ln p can overflow a double for some p > 0."""
+
+    @pytest.mark.parametrize("r, mu, expected", [
+        (1.0, 1e308, TWO_LN_COSH_1),
+        (1.0, 9e307, TWO_LN_COSH_1),
+        (300.5, 1e306, 601.0 - 2.0 * math.log(2.0)),  # 2 ln cosh r, e^{-2r} below an ulp
+        (300.5, 1.7e308, 601.0 - 2.0 * math.log(2.0)),
+        (5.0, sys.float_info.max, 2.0 * log_cosh(5.0)),
+        (1e5, 1e305, 2e5 - 2.0 * math.log(2.0)),  # 2 mu ln cosh r overflows below 2.4e305
+    ])
+    def test_squeezed_closed_form_is_the_single_copy_entropy(self, r, mu, expected):
+        # mu / (mu - 1) rounds to 1, and S_mu - S_inf is below an ulp of S_inf
+        assert renyi_squeezed(r, mu) == pytest.approx(expected, rel=1e-15)
+        assert renyi_squeezed(r, mu) == pytest.approx(renyi_squeezed(r, 1e300), rel=1e-15)
+
+    @pytest.mark.parametrize("mu", [2.5e305, 1e306, 9e307, 1e308, sys.float_info.max])
+    def test_general_power_sum_does_not_overflow(self, mu):
+        # the geometric tail runs down to the smallest subnormal, ln p ~ -744
+        spectrum = squeezed_entanglement_spectrum(1.0, 1500, rank_tolerance=0.0)
+        probs = spectrum.probabilities
+        assert 0.0 < probs[probs > 0.0].min() < sys.float_info.min
+        value = renyi_general(spectrum, mu)
+        assert value == pytest.approx(renyi_general(spectrum, math.inf), rel=1e-15)
+        assert value == pytest.approx(renyi_squeezed(1.0, mu), rel=1e-14)
+
+
 @pytest.mark.parametrize("entropy", [
     lambda mu: renyi_squeezed(1.2, mu),
     lambda mu: renyi_sh(SHParams((0.6, 0.3)), mu),

@@ -394,6 +394,16 @@ class TestRunSweep:
         assert sorted(calls) == [0.5, 1.0, 2.0, math.inf]
         assert [row[2] for row in rows] == [original(0.7, mu) for mu in (0.5, 1.0, 2.0, math.inf)]
 
+    def test_nan_deviation_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(analytic, "renyi_general", lambda spectrum, mu: math.nan)
+        _, rows, code = run_sweep(SweepConfig("squeezed", [0.5], [2.0], oracle=True))
+        assert math.isnan(rows[0][-1])
+        assert code == 1
+        # only an infinite closed form (order 0 of a squeezed family) stays excused
+        _, rows, code = run_sweep(SweepConfig("squeezed", [0.5], [0.0], oracle=True))
+        assert math.isinf(rows[0][2]) and math.isnan(rows[0][-1])
+        assert code == 0
+
     def test_oracle_squeezed(self):
         config = SweepConfig(
             "squeezed", [0.0, 0.3, 0.6], [0.5, 1.0, 2.0, math.inf], oracle=True
@@ -552,8 +562,22 @@ class TestVerification:
             else:
                 assert names == [check.name for check in results]
 
-    def test_corrupted_spectrum_is_caught(self, capsys):
-        results = run_verification(seed=0, _corrupt="normalization")
+    def test_corrupted_spectrum_is_caught(self, capsys, monkeypatch):
+        # the first oracle spectrum loses a tenth of its weight
+        real = cli.oracle_squeezed_spectrum
+        calls = []
+
+        def corrupted(*args, **kwargs):
+            spectrum = real(*args, **kwargs)
+            if not calls:
+                spectrum.probabilities = spectrum.probabilities * 0.9
+            calls.append(args)
+            return spectrum
+
+        monkeypatch.setattr(cli, "oracle_squeezed_spectrum", corrupted)
+        results = run_verification(seed=0)
+        assert [check.name for check in results if not check.passed] == ["spectrum-normalization"]
+        assert len(calls) > 1  # the battery asked again, and got clean spectra
         code = cli.print_verification(results)
         assert code == 1
         out = capsys.readouterr().out
@@ -561,6 +585,24 @@ class TestVerification:
 
 
 class TestMainEntry:
+    @pytest.mark.parametrize("args", [
+        ["--family", "squeezed", "--oracle", "--grid", "1,5", "--mu", "1e306,9e307,1e308"],
+        ["--family", "squeezed", "--oracle", "--grid", "5", "--mu", "1e308"],
+        ["--family", "displaced-squeezed", "--oracle", "--grid", "2", "--mu", "1e308"],
+        ["--grid", "300.5", "--mu", "1e306,1.7e308"],
+    ])
+    def test_huge_orders_read_the_single_copy_entropy(self, args, capsys):
+        # mu ln p overflows past ~2.4e305; S_mu is S_inf to double precision there
+        assert cli.main(["sweep", *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["S_mu"] == row["S_inf"]
+            if "abs_dev" in row:
+                assert math.isfinite(float(row["oracle_S_mu"]))
+                assert float(row["abs_dev"]) < 1e-12
+
     def test_sweep_writes_deterministic_csv(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

@@ -239,6 +239,19 @@ class TestOperatorExponential:
             operator_exponential(stack, scales=(1.0,))
 
 
+def assert_tail_error(err, what: str, tol: float, n_max: int, required_n_max):
+    """The one TailMassError form: what was dropped, past ``tol``, at the named n_max.
+
+    ``required_n_max`` is the cutoff rule's answer, or None where no rule exists.
+    """
+    exc = err.value
+    assert type(exc) is TailMassError
+    assert exc.measured > tol
+    assert exc.required_n_max == required_n_max
+    hint = "increase n_max" if required_n_max is None else f"need n_max >= {required_n_max}"
+    assert str(exc) == f"{what} {exc.measured:.3e} exceeds {tol:.3e} at n_max={n_max}; {hint}"
+
+
 class TestTailBounds:
     def test_squeezed_tail_formula(self):
         r = 0.7
@@ -275,6 +288,33 @@ class TestTailBounds:
         assert coherent_tail_mass(alpha, cut.n_max) <= 1e-12
         if cut.n_max > 0:
             assert coherent_tail_mass(alpha, cut.n_max - 1) > 1e-12
+
+
+class TestTailMass:
+    def test_floored_at_the_norm_defect(self):
+        amps = np.full((2, 2), 0.45)  # <psi|psi> = 0.81
+        assert ComplexAmplitudeTensor(amps, (2, 2), 0.0).tail_mass == pytest.approx(0.19)
+        assert ComplexAmplitudeTensor(amps, (2, 2), 0.3).tail_mass == 0.3
+        assert ComplexAmplitudeTensor(np.eye(2), (2, 2), 0.0).tail_mass == 0.0
+        # the Schmidt form records its own defect too: the geometric tail it drops
+        state = build_squeezed_vacuum(SqueezedStateParams(1.0), FockCutoff(40), tail_tol=1e-6)
+        assert state.tail_mass == pytest.approx(squeezed_tail_mass(1.0, 40), rel=1e-5)
+
+    def test_each_build_checks_its_tails_once(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(fockspace, name)
+            monkeypatch.setattr(fockspace, name, lambda *args: calls.append(name) or real(*args))
+
+        counting("coherent_tail_mass")
+        counting("squeezed_tail_mass")
+        build_silbey_harris(SHParams((0.7, -1.2, 0.3)), FockCutoff(30))
+        assert calls == ["coherent_tail_mass"] * 3  # one per mode, not one per mode and branch
+        calls.clear()
+        build_squeezed_coherent(SqueezedStateParams(0.5), DisplacementParams(0.3, 0.2),
+                                FockCutoff(60))
+        assert calls == ["squeezed_tail_mass"]
 
 
 class TestCoherentBuilder:
@@ -317,8 +357,10 @@ class TestCoherentBuilder:
     def test_tail_error_reports_requirement(self):
         with pytest.raises(TailMassError) as err:
             build_coherent_two_mode(DisplacementParams(2.0, 0.0), FockCutoff(4))
-        assert err.value.required_n_max is not None
-        assert err.value.required_n_max > 4
+        # each of the two modes gets half the tail budget
+        needed = coherent_product_cutoff((2.0, 0.0), 1e-12).n_max
+        assert_tail_error(err, "per-mode coherent tail", 0.5e-12, 4, needed)
+        assert needed > 4
 
 
 @pytest.mark.parametrize("amplitudes, build", [
@@ -383,9 +425,16 @@ class TestSqueezedBuilder:
         assert state.norm() == float(np.linalg.norm(np.diag(state.schmidt).ravel()))
 
     def test_tail_error(self):
-        with pytest.raises(TailMassError) as err:
-            build_squeezed_vacuum(SqueezedStateParams(2.0), FockCutoff(20))
-        assert err.value.required_n_max == squeezed_cutoff(2.0, 1e-12).n_max
+        needed = squeezed_cutoff(2.0, 1e-12).n_max
+        for build in (
+            lambda cut: build_squeezed_vacuum(SqueezedStateParams(2.0), cut),
+            lambda cut: build_squeezed_coherent(
+                SqueezedStateParams(2.0), DisplacementParams(0.1, 0.0), cut, 1e-12
+            ),
+        ):
+            with pytest.raises(TailMassError) as err:
+                build(FockCutoff(20))
+            assert_tail_error(err, "geometric tail", 1e-12, 20, needed)
 
     def test_negative_squeezing_rejected(self):
         with pytest.raises(ValueError):
@@ -429,7 +478,7 @@ class TestDisplacement:
         state = build_squeezed_vacuum(SqueezedStateParams(0.8), FockCutoff(36))
         with pytest.raises(TailMassError) as err:
             apply_two_mode_displacement(state, DisplacementParams(3.5, 0.0), tail_tol=1e-10)
-        assert err.value.measured > 1e-10
+        assert_tail_error(err, "boundary leak", 1e-10, 36, None)
 
     def test_requires_two_modes(self):
         sh = build_silbey_harris(SHParams((0.2, 0.1)), FockCutoff(8))
@@ -604,6 +653,7 @@ class TestSqueezedCoherent:
         assert squeezed_tail_mass(0.3, 15) < 1e-16
         with pytest.raises(TailMassError, match="outside the box") as err:
             build_squeezed_coherent(params_s, disp, FockCutoff(15))
+        assert_tail_error(err, "mass outside the box", fockspace.DEFAULT_LEAK_TOL, 15, None)
         assert err.value.measured > 1e-3
         assert build_squeezed_coherent(params_s, disp, FockCutoff(45)).tail_mass < 1e-10
 
