@@ -31,7 +31,7 @@ import numpy as np
 from ._stable import log1mexp, log_cosh, log_tanh
 from .exceptions import ContractError
 from .fockspace import SHParams
-from .spectra import DEFAULT_RANK_TOL, EntanglementSpectrum, schmidt_rank
+from .spectra import EntanglementSpectrum, schmidt_rank
 
 
 _NEAR_ONE = 1e-5  # orders with |mu - 1| below this take the first-order expansion
@@ -75,13 +75,11 @@ def squeezed_spectrum(r: float, n) -> float:
     return float(result) if np.isscalar(n) or n_arr.ndim == 0 else result
 
 
-def squeezed_entanglement_spectrum(
-    r: float, count: int, rank_tolerance: float = DEFAULT_RANK_TOL
-) -> EntanglementSpectrum:
+def squeezed_entanglement_spectrum(r: float, count: int) -> EntanglementSpectrum:
     """First ``count`` closed-form eigenvalues as a spectrum object."""
     if count < 1:
         raise ValueError("count must be positive")
-    return EntanglementSpectrum(squeezed_spectrum(r, np.arange(count)), rank_tolerance)
+    return EntanglementSpectrum(squeezed_spectrum(r, np.arange(count)))
 
 
 def renyi_squeezed(r: float, mu: float) -> float:
@@ -140,10 +138,10 @@ def _sh_minor_weight(params: SHParams) -> float:
     return -math.expm1(-2.0 * params.f_dot_f) / 2.0
 
 
-def sh_spectrum(params: SHParams, rank_tolerance: float = DEFAULT_RANK_TOL) -> EntanglementSpectrum:
+def sh_spectrum(params: SHParams) -> EntanglementSpectrum:
     """Two-level spectrum {(1 + c)/2, (1 - c)/2} with c the branch overlap."""
     p_minus = _sh_minor_weight(params)
-    return EntanglementSpectrum(np.array([1.0 - p_minus, p_minus]), rank_tolerance)
+    return EntanglementSpectrum(np.array([1.0 - p_minus, p_minus]))
 
 
 def renyi_sh(params: SHParams, mu: float) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, fockspace, spectra, thermo
-from .exceptions import ContractError, MemoryBudgetError, TailMassError
+from .exceptions import MemoryBudgetError
 from .fockspace import DisplacementParams, FockCutoff, SHParams, SqueezedStateParams
 
 SWEEP_HEADER = ("param", "mu", "S_mu", "S_vn", "S_2", "purity", "S_inf", "beta_eff", "Z", "F")
@@ -148,9 +148,11 @@ def _order_tail_tol(tail_tol: float, mu_list) -> float:
     mu = min((mu for mu in mu_list if 0.0 < mu < 1.0), default=1.0)
     tol = tail_tol ** (1.0 / mu)
     if tol == 0.0:
+        exponent = math.log10(tail_tol) / mu  # past a million, %.3g and not all its digits
+        size = f"1e{exponent:.0f}" if exponent > -1e6 else f"10^({exponent:.3g})"
         raise ValueError(
             f"Renyi order {mu:g} needs an occupation tail of {tail_tol:g}^(1/{mu:g}) ~ "
-            f"1e{math.log10(tail_tol) / mu:.0f}, which underflows float64; use a larger order"
+            f"{size}, which underflows float64; use a larger order"
         )
     return tol
 
@@ -785,10 +787,13 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy's generator takes no negative seed
+        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
-    except (TailMassError, MemoryBudgetError, ContractError, ValueError) as exc:
+    except (MemoryBudgetError, ValueError) as exc:  # TailMassError and ContractError too
         print(f"mek: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # the thermal models overflow at large r and f.f

@@ -121,16 +121,12 @@ class SHParams:
         object.__setattr__(self, "f", values)
         object.__setattr__(self, "f_dot_f", math.fsum(x * x for x in values))
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.f)
-
 
 class ComplexAmplitudeTensor:
     """Coefficient array of a pure state over truncated occupation bases.
 
-    ``amplitudes`` has shape ``mode_dims`` (one axis per factor's occupation
-    number), float64 for real or integer input and complex128 for complex.
+    ``amplitudes`` has one axis per factor's occupation number, and its shape
+    is ``mode_dims``: float64 for real or integer input, complex128 for complex.
     ``tail_mass`` is the probability the truncation neglects: the given bound
     (the boundary leak after an operator acted), floored at the norm defect
     1 - <psi|psi> that the state records itself. A state
@@ -140,14 +136,10 @@ class ComplexAmplitudeTensor:
     past it); for every other state ``schmidt`` is None.
     """
 
-    def __init__(self, amplitudes: np.ndarray, mode_dims: tuple, tail_mass: float):
+    def __init__(self, amplitudes: np.ndarray, tail_mass: float = 0.0):
         amps = np.asarray(amplitudes)
-        self.mode_dims = tuple(int(d) for d in mode_dims)
-        if amps.shape != self.mode_dims:
-            raise DimensionError(
-                f"amplitude shape {amps.shape} does not match mode_dims {self.mode_dims}"
-            )
         self._amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
+        self.mode_dims = self._amplitudes.shape
         self.tail_mass, self.schmidt = _floored(tail_mass, self._amplitudes), None
 
     @classmethod
@@ -445,7 +437,7 @@ def build_coherent_two_mode(
     """
     _check_tol(tail_tol)
     (amps,) = _coherent_products([(params.alpha, params.beta_b)], cutoff, tail_tol)
-    return ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), 0.0)
+    return ComplexAmplitudeTensor(amps)
 
 
 def build_squeezed_vacuum(
@@ -505,40 +497,34 @@ def apply_two_mode_displacement(
     params: DisplacementParams,
     tail_tol: float = DEFAULT_LEAK_TOL,
 ) -> ComplexAmplitudeTensor:
-    """Displace each mode of a two-mode state by exponentiated ladder generators.
+    """Displace each mode of a square two-mode state by exponentiated ladder generators.
 
-    Both modes share the real generator a^dag - a of their dimension, so a
-    square state takes one ``operator_exponential`` call, one real SVD, for
-    the stack exp(|alpha| (a^dag - a)), exp(|beta| (a^dag - a)); each mode's
-    phase then enters entrywise (``_phased``). A state whose modes differ in
-    dimension takes one call per mode. Real amplitudes give float64
-    operators, complex ones complex128.
+    Both modes share the real generator a^dag - a of their dimension, so one
+    ``operator_exponential`` call, one real SVD, gives the stack
+    exp(|alpha| (a^dag - a)), exp(|beta| (a^dag - a)); each mode's phase then
+    enters entrywise (``_phased``). Real amplitudes give float64 operators,
+    complex ones complex128. Every builder makes square states; any other
+    state is a DimensionError naming its factors.
 
     The truncated generators are exactly anti-Hermitian, so the norm is
     preserved; contamination from the truncation wall is detected instead as
     probability accumulating on the top occupation level of either mode.
     """
-    if len(state.mode_dims) != 2:
-        raise DimensionError(f"expected a two-mode state, got factors {state.mode_dims}")
-    dim_a, dim_b = state.mode_dims
+    if len(state.mode_dims) != 2 or state.mode_dims[0] != state.mode_dims[1]:
+        raise DimensionError(f"expected a square two-mode state, got factors {state.mode_dims}")
+    dim = state.mode_dims[0]
     amplitudes = (params.alpha, params.beta_b)
-    if dim_a == dim_b:
-        unphased = operator_exponential(
-            displacement_generator(1.0, dim_a - 1), scales=[abs(amp) for amp in amplitudes]
-        )
-    else:
-        unphased = [
-            operator_exponential(displacement_generator(1.0, dim - 1), scales=[abs(amp)])[0]
-            for dim, amp in zip(state.mode_dims, amplitudes)
-        ]
+    unphased = operator_exponential(
+        displacement_generator(1.0, dim - 1), scales=[abs(amp) for amp in amplitudes]
+    )
     op_a, op_b = (_phased(op, amp) for op, amp in zip(unphased, amplitudes))
     # op_a diag(s) = op_a * s, bit for bit, with no d x d state
     left = op_a @ state.amplitudes if state.schmidt is None else op_a * state.schmidt
     amps = left @ op_b.T
     edges = (np.take(amps, dim - 1, axis=axis) for axis, dim in enumerate(amps.shape))
     leak = sum(float(np.vdot(edge, edge).real) for edge in edges)
-    _check_tail("boundary leak", leak, tail_tol, max(state.mode_dims) - 1)
-    return ComplexAmplitudeTensor(amps, state.mode_dims, max(state.tail_mass, leak))
+    _check_tail("boundary leak", leak, tail_tol, dim - 1)
+    return ComplexAmplitudeTensor(amps, max(state.tail_mass, leak))
 
 
 def reordered_displacement(
@@ -610,7 +596,7 @@ def build_squeezed_coherent(
     for n in range(1, cutoff.dim):
         psi[n] = (alpha / (cosh_r * root_m[n])) * psi[n - 1]
         psi[n, 1:] += (raise_b / root_m[n]) * psi[n - 1, :-1]
-    state = ComplexAmplitudeTensor(psi, (cutoff.dim, cutoff.dim), 0.0)
+    state = ComplexAmplitudeTensor(psi)
     _check_tail("mass outside the box", state.tail_mass, tail_tol, cutoff.n_max)
     return state
 
@@ -628,8 +614,7 @@ def build_silbey_harris(
     the branch overlap.
     """
     _check_tol(tail_tol)
-    dims = (2,) + (cutoff.dim,) * params.n_modes
     amps = np.stack(_coherent_products([params.f, [-f_k for f_k in params.f]], cutoff, tail_tol))
     amps[1] *= -1.0
     amps /= math.sqrt(2.0)
-    return ComplexAmplitudeTensor(amps, dims, 0.0)
+    return ComplexAmplitudeTensor(amps)

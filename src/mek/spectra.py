@@ -1,8 +1,10 @@
 """Partial traces, Hermitian eigenvalues, and entanglement-spectrum extraction.
 
 Eigenvalues and singular values come from LAPACK through numpy
-(``eigvalsh`` and ``svd``); this module adds the contract checks around them:
-squareness, Hermiticity, and the round-off window for negative eigenvalues.
+(``eigvalsh`` and ``svd``); this module adds the contract checks around them,
+each in one place. ``partial_trace`` checks the trace (a normalized state);
+``hermitian_eigenvalues`` checks squareness, finite entries and Hermiticity
+before LAPACK, and the round-off window for negative eigenvalues after it.
 A state stored in Schmidt form (the two-mode squeezed vacuum, see
 ``ComplexAmplitudeTensor``) is reduced from its Schmidt vector in
 ``partial_trace`` and carried as its real diagonal alone: it is checked and
@@ -77,11 +79,6 @@ def _unfold(state: ComplexAmplitudeTensor, keep_factor: int) -> np.ndarray:
     return np.moveaxis(state.amplitudes, keep_factor, 0).reshape(kept_dim, -1)
 
 
-def _hermiticity_defect(matrix: np.ndarray) -> float:
-    """max |m - m^H|."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
-
-
 def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDensityMatrix:
     """Trace out every tensor factor except ``keep_factor``.
 
@@ -90,9 +87,10 @@ def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDen
     Schmidt form (``state.schmidt``, such as the two-mode squeezed vacuum)
     gives, for either factor, the diagonal rho_nn = |psi_nn|^2 from that
     vector alone, kept as a float64 vector of d entries: no d x d matrix, no
-    scan and no O(d^3) product, and the Hermiticity check, exactly 0 there,
-    is skipped. Any other state, a diagonal one built by hand included, takes
-    the product, in the amplitudes' dtype.
+    scan and no O(d^3) product. Any other state, a diagonal one built by hand
+    included, takes the product, in the amplitudes' dtype: Hermitian by
+    construction, and checked as such by ``hermitian_eigenvalues``. The trace
+    is checked here: ContractError unless it is 1 to ``TRACE_TOL`` (NaN fails).
     """
     schmidt = state.schmidt
     if schmidt is not None and keep_factor in (0, 1):
@@ -102,15 +100,11 @@ def partial_trace(state: ComplexAmplitudeTensor, keep_factor: int) -> ReducedDen
     else:  # an out-of-range factor raises in _unfold, before any amplitude is read
         unfolded = np.ascontiguousarray(_unfold(state, keep_factor))
         entries = unfolded @ unfolded.conj().T
-        # written as "not defect < tol" so that a NaN defect fails the check
-        herm_defect = _hermiticity_defect(entries)
-        if not herm_defect < HERMITICITY_TOL:
-            raise ContractError(f"reduced matrix is not Hermitian: defect {herm_defect:.3e}")
         trace = float(np.trace(entries).real)
         rho = ReducedDensityMatrix(entries)
 
     trace_defect = abs(1.0 - trace)
-    if not trace_defect < TRACE_TOL:
+    if not trace_defect < TRACE_TOL:  # a NaN trace fails too
         raise ContractError(
             f"reduced matrix trace deviates from 1 by {trace_defect:.3e}; "
             "was the input state normalized?"
@@ -145,7 +139,7 @@ def hermitian_eigenvalues(
         # LAPACK returns NaN or arbitrary values for non-finite input, without error
         if not np.all(np.isfinite(entries)):
             raise ContractError("density matrix has non-finite entries")
-        herm_defect = _hermiticity_defect(entries)
+        herm_defect = float(np.max(np.abs(entries - entries.conj().T)))
         if herm_defect >= HERMITICITY_TOL:
             raise ContractError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
         eigenvalues = np.linalg.eigvalsh(entries)[::-1].copy()

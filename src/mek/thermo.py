@@ -88,18 +88,16 @@ def two_level_model_from_sh(params: SHParams, delta: float = 1.0) -> EffectiveTh
     return EffectiveThermalModel(beta, delta, z, free_energy, False)
 
 
-def materialized_levels(model: EffectiveThermalModel, count: int) -> np.ndarray:
-    """First ``count`` energy levels n * energy_scale; a two-level model has only two."""
+def boltzmann_weights(model: EffectiveThermalModel, count: int) -> np.ndarray:
+    """Normalized weights e^{-beta E_n} / Z for the first ``count`` levels E_n = n * energy_scale.
+
+    A two-level model has only two levels: DimensionError for more.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     if count > 2 and not model.infinite_ladder:
         raise DimensionError(f"model has only 2 levels but {count} were requested")
-    return model.energy_scale * np.arange(count, dtype=float)
-
-
-def boltzmann_weights(model: EffectiveThermalModel, count: int) -> np.ndarray:
-    """Normalized weights e^{-beta E_n} / Z for the first ``count`` levels."""
-    levels = materialized_levels(model, count)
+    levels = model.energy_scale * np.arange(count, dtype=float)
     if math.isinf(model.beta_eff):
         weights = np.zeros(count)
         weights[0] = 1.0

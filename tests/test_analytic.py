@@ -12,7 +12,6 @@ from mek.analytic import (
     renyi_sh,
     renyi_squeezed,
     sh_spectrum,
-    squeezed_entanglement_spectrum,
     squeezed_spectrum,
     von_neumann_limit_check,
 )
@@ -342,7 +341,7 @@ class TestRenyiGeneral:
             (0.8, 300, 2.0, 1e-12),
             (0.8, 300, math.inf, 1e-12),
         ]:
-            spectrum = squeezed_entanglement_spectrum(r, count, rank_tolerance=0.0)
+            spectrum = EntanglementSpectrum(squeezed_spectrum(r, np.arange(count)), 0.0)
             assert renyi_general(spectrum, mu) == pytest.approx(renyi_squeezed(r, mu), abs=tol)
 
     def test_matches_brute_force_on_random_spectra(self):
@@ -391,7 +390,7 @@ class TestHugeOrders:
     @pytest.mark.parametrize("mu", [2.5e305, 1e306, 9e307, 1e308, sys.float_info.max])
     def test_general_power_sum_does_not_overflow(self, mu):
         # the geometric tail runs down to the smallest subnormal, ln p ~ -744
-        spectrum = squeezed_entanglement_spectrum(1.0, 1500, rank_tolerance=0.0)
+        spectrum = EntanglementSpectrum(squeezed_spectrum(1.0, np.arange(1500)), 0.0)
         probs = spectrum.probabilities
         assert 0.0 < probs[probs > 0.0].min() < sys.float_info.min
         value = renyi_general(spectrum, mu)

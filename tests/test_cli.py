@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -546,6 +547,126 @@ class TestRendering:
                 render_output(header, rows, fmt)
 
 
+def _moved_weight(spectrum):
+    """The spectrum with 1e-6 of its top entry moved to the next: normalized, and wrong."""
+    probs = spectrum.probabilities.copy()
+    probs[:2] += (-1e-6, 1e-6)
+    return spectra.EntanglementSpectrum(probs, spectrum.rank_tolerance)
+
+
+def _moved_on(when):
+    """A fault of an oracle spectrum function: ``_moved_weight`` on the calls ``when`` accepts."""
+    def factory(real):
+        def fault(*args, **kwargs):
+            spectrum = real(*args, **kwargs)
+            return _moved_weight(spectrum) if when(*args, **kwargs) else spectrum
+        return fault
+    return factory
+
+
+def _second_bumped(real):
+    """``real``, whose second coefficient gains 1e-6."""
+    def fault(*args):
+        coefficients = real(*args).copy()
+        coefficients[1] += 1e-6
+        return coefficients
+    return fault
+
+
+def _first_call_scaled(real):
+    """``real``, whose first result loses a tenth of its weight; later calls are clean."""
+    calls = []
+
+    def fault(*args, **kwargs):
+        spectrum = real(*args, **kwargs)
+        if not calls:
+            spectrum.probabilities = spectrum.probabilities * 0.9
+        calls.append(args)
+        return spectrum
+    return fault
+
+
+def _entangled(real):
+    """``real`` with a small entangling amplitude added to its state, renormalized."""
+    def fault(*args):
+        amps = real(*args).amplitudes.copy()
+        amps[0, 1] += 1e-4
+        return fockspace.ComplexAmplitudeTensor(amps / np.linalg.norm(amps))
+    return fault
+
+
+def _factor_one_mixed(real):
+    """``real``, whose reduction of factor 1 mixes in 1e-6 of |0><0|: Hermitian, trace 1."""
+    def fault(state, keep_factor):
+        rho = real(state, keep_factor)
+        if keep_factor != 1:
+            return rho
+        entries = rho.entries * (1.0 - 1e-6)
+        entries[0, 0] += 1e-6
+        return spectra.ReducedDensityMatrix(entries)
+    return fault
+
+
+def _shifted_model(real):
+    """``real``, whose free energy is off by 1e-9."""
+    def fault(*args):
+        model = real(*args)
+        return dataclasses.replace(model, free_energy=model.free_energy + 1e-9)
+    return fault
+
+
+# one fault per check of ``mek verify``: (owner, attribute, fault from the real
+# attribute); each reaches only the check it names, at seed 0
+VERIFY_FAULTS = {
+    "spectrum-normalization": (cli, "oracle_squeezed_spectrum", _first_call_scaled),
+    "builder-norm": (
+        fockspace.ComplexAmplitudeTensor, "norm", lambda real: lambda state: real(state) * (1 + 1e-6)
+    ),
+    # the two-mode displacement always passes scales, so only the battery's own
+    # unscaled exponentials see this
+    "exponential-unitarity": (
+        fockspace, "operator_exponential",
+        lambda real: lambda gen, scales=None: real(gen, scales) * (1.0 + 1e-9 * (scales is None)),
+    ),
+    "coherent-rank-one": (spectra, "schmidt_coefficients", _second_bumped),
+    # only the coherent plan's spectra carry a positive rank tolerance to renyi_general
+    "coherent-zero-entropy": (
+        analytic, "renyi_general",
+        lambda real: lambda spectrum, mu: real(spectrum, mu) + 1e-6 * (spectrum.rank_tolerance > 0),
+    ),
+    "squeezed-oracle-equivalence": (
+        cli, "oracle_squeezed_spectrum", _moved_on(lambda *args, mu_list=(), **kwargs: mu_list)
+    ),
+    "theta-independence": (
+        cli, "oracle_squeezed_spectrum", _moved_on(lambda r, theta=0.0, *args, **kwargs: theta)
+    ),
+    "displacement-invariance": (cli, "build_displaced_squeezed", _entangled),
+    # the displaced spectra stay invariant whatever displacement reorders them
+    "squeeze-displace-reorder": (
+        fockspace, "reordered_displacement",
+        lambda real: lambda *args: dataclasses.replace(real(*args), alpha=real(*args).alpha + 1e-6),
+    ),
+    # psi and its transpose share singular values, so no fault in a state reaches this
+    "partition-symmetry": (spectra, "partial_trace", _factor_one_mixed),
+    "sh-oracle-equivalence": (cli, "oracle_sh_spectrum", _moved_on(lambda *args, **kwargs: True)),
+    "sh-dot-product-invariance": (
+        analytic, "renyi_sh", lambda real: lambda params, mu: real(params, mu) + 1e-6 * params.f[0]
+    ),
+    "oscillator-thermal-consistency": (thermo, "oscillator_model_from_squeezing", _shifted_model),
+    "two-level-thermal-consistency": (thermo, "two_level_model_from_sh", _shifted_model),
+    "purity-identity": (
+        analytic, "renyi_squeezed", lambda real: lambda r, mu: real(r, mu) if r else 1e-9
+    ),
+    "renyi-monotonicity": (
+        analytic, "renyi_squeezed", lambda real: lambda r, mu: real(r, mu) + (mu == 10.0)
+    ),
+    # linear convergence read as its square root: the ratio is sqrt(10), not 10
+    "von-neumann-limit": (
+        analytic, "von_neumann_limit_check", lambda real: lambda *args: real(*args) ** 0.5
+    ),
+}
+
+
 class TestVerification:
     def test_battery_passes(self):
         results = run_verification(seed=0)
@@ -562,26 +683,18 @@ class TestVerification:
             else:
                 assert names == [check.name for check in results]
 
-    def test_corrupted_spectrum_is_caught(self, capsys, monkeypatch):
-        # the first oracle spectrum loses a tenth of its weight
-        real = cli.oracle_squeezed_spectrum
-        calls = []
-
-        def corrupted(*args, **kwargs):
-            spectrum = real(*args, **kwargs)
-            if not calls:
-                spectrum.probabilities = spectrum.probabilities * 0.9
-            calls.append(args)
-            return spectrum
-
-        monkeypatch.setattr(cli, "oracle_squeezed_spectrum", corrupted)
+    @pytest.mark.parametrize("check", VERIFY_FAULTS)
+    def test_corrupted_spectrum_is_caught(self, check, capsys, monkeypatch):
+        # each fault reaches one check of the battery, and that check alone fails
+        owner, attr, fault = VERIFY_FAULTS[check]
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
         results = run_verification(seed=0)
-        assert [check.name for check in results if not check.passed] == ["spectrum-normalization"]
-        assert len(calls) > 1  # the battery asked again, and got clean spectra
+        assert {result.name for result in results} == set(VERIFY_FAULTS)
+        assert [result.name for result in results if not result.passed] == [check]
         code = cli.print_verification(results)
         assert code == 1
         out = capsys.readouterr().out
-        assert "FAIL spectrum-normalization" in out
+        assert f"FAIL {check}" in out
 
 
 class TestMainEntry:
@@ -655,10 +768,13 @@ class TestMainEntry:
         ("thermo-table", "--seed", "1"),
         ("thermo-table", "--tail-tol", "1e-12"),
         ("verify", "--tail-tol", "1e-12"),
-    ], ids=["sweep", "thermo-table", "thermo-table-tail-tol", "verify-tail-tol"])
+        ("verify", "--seed", "-1"),
+    ], ids=["sweep", "thermo-table", "thermo-table-tail-tol", "verify-tail-tol",
+            "verify-negative-seed"])
     def test_grid_commands_take_no_seed(self, command, flag, value, capsys):
         # sweeps are grid-driven, so only verify draws pseudo-random parameters;
-        # only a sweep's oracle reads a tail tolerance, so only sweep takes one
+        # only a sweep's oracle reads a tail tolerance, so only sweep takes one;
+        # numpy's generator takes no negative seed, so verify refuses one
         with pytest.raises(SystemExit) as exc:
             cli.main([command, flag, value])
         assert exc.value.code == 2
@@ -673,6 +789,12 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("mek: ") and "order 0.02" in err and "1e-600" in err
         assert "got 0.0" not in err
+        # an exponent of -1.2e301 is written as such, not as its 302 digits
+        code = cli.main(["sweep", "--family", "squeezed", "--oracle", "--grid", "0.5",
+                         "--mu", "1e-300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mek: ") and "order 1e-300" in err and len(err) < 200
 
     @pytest.mark.parametrize("family, grid", [("squeezed", "1"), ("silbey-harris", "0.5")])
     def test_orders_near_one_pass_the_oracle_gate(self, family, grid, capsys):

@@ -293,9 +293,9 @@ class TestTailBounds:
 class TestTailMass:
     def test_floored_at_the_norm_defect(self):
         amps = np.full((2, 2), 0.45)  # <psi|psi> = 0.81
-        assert ComplexAmplitudeTensor(amps, (2, 2), 0.0).tail_mass == pytest.approx(0.19)
-        assert ComplexAmplitudeTensor(amps, (2, 2), 0.3).tail_mass == 0.3
-        assert ComplexAmplitudeTensor(np.eye(2), (2, 2), 0.0).tail_mass == 0.0
+        assert ComplexAmplitudeTensor(amps).tail_mass == pytest.approx(0.19)
+        assert ComplexAmplitudeTensor(amps, 0.3).tail_mass == 0.3
+        assert ComplexAmplitudeTensor(np.eye(2)).tail_mass == 0.0
         # the Schmidt form records its own defect too: the geometric tail it drops
         state = build_squeezed_vacuum(SqueezedStateParams(1.0), FockCutoff(40), tail_tol=1e-6)
         assert state.tail_mass == pytest.approx(squeezed_tail_mass(1.0, 40), rel=1e-5)
@@ -487,7 +487,7 @@ class TestDisplacement:
 
 
 class TestDisplacementRoute:
-    """One real SVD per mode dimension, then each amplitude's phase entrywise."""
+    """One real SVD for both modes, then each amplitude's phase entrywise."""
 
     AMPLITUDES = (0.5, -0.7, 1.2 - 0.7j, 0.4j, 0.0)
 
@@ -505,7 +505,7 @@ class TestDisplacementRoute:
         # both operators counts; the boundary-leak check is off
         rng = np.random.default_rng(dim)
         amps = rng.normal(size=(dim, dim))
-        state = ComplexAmplitudeTensor(amps / np.linalg.norm(amps), (dim, dim), 0.0)
+        state = ComplexAmplitudeTensor(amps / np.linalg.norm(amps))
         for alpha in self.AMPLITUDES:
             for beta in self.AMPLITUDES:
                 params = DisplacementParams(alpha, beta)
@@ -516,12 +516,12 @@ class TestDisplacementRoute:
                 assert np.max(np.abs(out.amplitudes - reference)) < 1e-13
 
     def test_unequal_mode_dimensions(self):
+        # every builder makes square states; any other is refused, naming its factors
         rng = np.random.default_rng(2)
         amps = rng.normal(size=(17, 30)) + 1j * rng.normal(size=(17, 30))
-        state = ComplexAmplitudeTensor(amps / np.linalg.norm(amps), (17, 30), 0.0)
-        for params in (DisplacementParams(0.6, -0.4), DisplacementParams(0.3j, 0.9 - 0.2j)):
-            out = apply_two_mode_displacement(state, params, tail_tol=math.inf)
-            assert np.max(np.abs(out.amplitudes - self.per_mode_eigh(state, params))) < 1e-13
+        state = ComplexAmplitudeTensor(amps / np.linalg.norm(amps))
+        with pytest.raises(DimensionError, match=r"got factors \(17, 30\)$"):
+            apply_two_mode_displacement(state, DisplacementParams(0.6, -0.4), tail_tol=math.inf)
 
     @pytest.mark.parametrize("dim", [14, 64, 266])
     def test_diagonal_state_skips_the_dense_product(self, dim):
@@ -536,7 +536,7 @@ class TestDisplacementRoute:
         ]
         for params_s, params_d, bitwise in cases:
             state = build_squeezed_vacuum(params_s, FockCutoff(dim - 1), 1e-3)
-            by_hand = ComplexAmplitudeTensor(np.diag(state.schmidt), state.mode_dims, 0.0)
+            by_hand = ComplexAmplitudeTensor(np.diag(state.schmidt))
             assert by_hand.schmidt is None
             diagonal = apply_two_mode_displacement(state, params_d, tail_tol=math.inf)
             dense = apply_two_mode_displacement(by_hand, params_d, tail_tol=math.inf)
@@ -712,7 +712,7 @@ class TestDtypeRule:
     def test_tensor_stores_float64_or_complex128(self):
         cases = ((int, np.float64), (np.float32, np.float64), (complex, np.complex128))
         for given, stored in cases:
-            state = ComplexAmplitudeTensor(np.eye(2, dtype=given), (2, 2), 0.0)
+            state = ComplexAmplitudeTensor(np.eye(2, dtype=given))
             assert state.amplitudes.dtype == stored
 
     def test_real_recurrence_matches_the_complex_route(self):
@@ -794,7 +794,7 @@ def test_displaced_number_state_stays_rank_one():
     cutoff = FockCutoff(40)
     amps = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     amps[2, 3] = 1.0
-    state = ComplexAmplitudeTensor(amps, (cutoff.dim, cutoff.dim), 0.0)
+    state = ComplexAmplitudeTensor(amps)
     displaced = apply_two_mode_displacement(state, DisplacementParams(0.6, -0.4j))
     singular = spectra.schmidt_coefficients(displaced)
     assert singular[0] == pytest.approx(1.0, abs=1e-12)

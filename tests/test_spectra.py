@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mek import analytic
+from mek import analytic, cli
 from mek.exceptions import ContractError, DimensionError
 from mek.fockspace import (
     ComplexAmplitudeTensor,
@@ -77,7 +77,7 @@ class TestPartialTrace:
         amps = amps.copy()
         amps[2, 5] += off_diagonal
         amps /= np.linalg.norm(amps)
-        state = ComplexAmplitudeTensor(amps, amps.shape, 0.0)
+        state = ComplexAmplitudeTensor(amps)
         rho = partial_trace(state, keep_factor).entries
         unfolded = np.moveaxis(amps, keep_factor, 0)
         reference = unfolded @ unfolded.conj().T
@@ -85,12 +85,28 @@ class TestPartialTrace:
         off_nonzero = np.count_nonzero(rho) - np.count_nonzero(np.diag(rho))
         assert (off_nonzero == 0) == (off_diagonal == 0.0)
 
+    def test_dense_reduction_allocates_rho_alone(self):
+        # the product is Hermitian by construction, so no d x d temporary checks
+        # it here: the displaced state at r = 1.8 (d = 266) allocates rho only
+        plan = cli.OraclePlan.displaced(1.8, cli.SWEEP_DISPLACEMENT, 1e-12)
+        state = cli.build_displaced_squeezed(1.8, cli.SWEEP_DISPLACEMENT, plan)
+        dim, itemsize = state.mode_dims[0], state.amplitudes.itemsize
+        assert dim == 266
+        tracemalloc.start()
+        try:
+            rho = partial_trace(state, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho.entries.shape == (dim, dim)
+        assert peak <= 1.1 * dim * dim * itemsize, f"peak {peak / (dim * dim * itemsize):.2f} d^2"
+
     def test_unnormalized_state_rejected(self):
         # the Schmidt route checks sum |psi_nn|^2 with the same tolerance and
         # message (TestDiagonalRoute)
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 0] = 0.5
-        bad = ComplexAmplitudeTensor(amps, (3, 3), 0.0)
+        bad = ComplexAmplitudeTensor(amps)
         message = (
             r"^reduced matrix trace deviates from 1 by 7\.500e-01; "
             r"was the input state normalized\?$"
@@ -104,7 +120,7 @@ class TestPartialTrace:
         amps = np.zeros((2, 2)) if diagonal_only else np.full((2, 2), math.nan)
         amps[0, 0] = math.nan
         with pytest.raises(ContractError):
-            partial_trace(ComplexAmplitudeTensor(amps, (2, 2), 0.0), 0)
+            partial_trace(ComplexAmplitudeTensor(amps), 0)
 
 
 class TestDiagonalRoute:
@@ -140,7 +156,7 @@ class TestDiagonalRoute:
     def test_either_factor_matches_the_dense_product(self, theta):
         # the same state built by hand as a dense diagonal goes through the product
         state = build_squeezed_vacuum(SqueezedStateParams(0.8, theta), FockCutoff(40))
-        by_hand = ComplexAmplitudeTensor(np.diag(state.schmidt), state.mode_dims, 0.0)
+        by_hand = ComplexAmplitudeTensor(np.diag(state.schmidt))
         for keep_factor in (0, 1):
             rho = partial_trace(state, keep_factor).entries
             dense = partial_trace(by_hand, keep_factor).entries
@@ -321,7 +337,7 @@ class TestSchmidtCoefficients:
         rng = np.random.default_rng(2)
         for shape in ((5, 5), (4, 12), (20, 3)):
             mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            state = ComplexAmplitudeTensor(mat / np.linalg.norm(mat), shape, 0.0)
+            state = ComplexAmplitudeTensor(mat / np.linalg.norm(mat))
             mine = schmidt_coefficients(state)
             reference = np.linalg.svd(state.amplitudes, compute_uv=False)
             assert np.max(np.abs(mine - reference)) < 1e-12

@@ -9,7 +9,6 @@ from mek.fockspace import FockCutoff, SHParams, SqueezedStateParams, build_squee
 from mek.spectra import EntanglementSpectrum, hermitian_eigenvalues, partial_trace
 from mek.thermo import (
     boltzmann_weights,
-    materialized_levels,
     oscillator_model_from_squeezing,
     two_level_model_from_sh,
     verify_thermal_consistency,
@@ -141,16 +140,19 @@ class TestTwoLevelModel:
             assert math.isclose(model.free_energy, reference, rel_tol=1e-14)
 
 
-class TestMaterializedLevels:
+class TestBoltzmannWeights:
     def test_harmonic_ladder_extends(self):
         model = oscillator_model_from_squeezing(0.5, 2.0)
-        np.testing.assert_allclose(materialized_levels(model, 5), [0, 2, 4, 6, 8])
+        levels = np.array([0, 2, 4, 6, 8])
+        expected = np.exp(-model.beta_eff * levels) / model.partition_function
+        np.testing.assert_array_equal(boltzmann_weights(model, 5), expected)
 
     def test_two_level_cannot_extend(self):
         model = two_level_model_from_sh(SHParams((0.5,)), 3.0)
-        np.testing.assert_array_equal(materialized_levels(model, 2), [0.0, 3.0])
+        expected = np.exp(-model.beta_eff * np.array([0.0, 3.0])) / model.partition_function
+        np.testing.assert_array_equal(boltzmann_weights(model, 2), expected)
         with pytest.raises(DimensionError):
-            materialized_levels(model, 3)
+            boltzmann_weights(model, 3)
 
 
 class TestThermalConsistency:
