@@ -9,6 +9,7 @@ tables, and the verification battery.
 
 from .analytic import (
     renyi_general,
+    renyi_orders,
     renyi_sh,
     renyi_squeezed,
     sh_spectrum,

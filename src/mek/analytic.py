@@ -4,6 +4,11 @@ Every formula here has an independent truncated-basis counterpart built from
 :mod:`mek.fockspace` + :mod:`mek.spectra`; the two routes are compared in the
 test suite and by ``mek verify``.
 
+The spectrum-driven entropies (``renyi_orders``, and ``renyi_general`` for one
+order) read the oracle's explicit spectra. The -ln p_n are the Boltzmann
+energies of the effective thermal theory, so every order comes from one set of
+levels: the checks, the kept entries and their logs are shared by all orders.
+
 Renyi orders are plain floats with three distinguished limits: 0 (log of the
 Schmidt rank), 1 (von Neumann), and ``math.inf`` (single-copy entanglement,
 -ln p_max). For the pair-squeezed family the Schmidt rank is countably
@@ -31,7 +36,7 @@ import numpy as np
 from ._stable import log1mexp, log_cosh, log_tanh
 from .exceptions import ContractError
 from .fockspace import SHParams
-from .spectra import EntanglementSpectrum, schmidt_rank
+from .spectra import EntanglementSpectrum
 
 
 _NEAR_ONE = 1e-5  # orders with |mu - 1| below this take the first-order expansion
@@ -174,36 +179,47 @@ def renyi_sh(params: SHParams, mu: float) -> float:
 # spectrum-driven entropies (the oracle-facing route)
 # ---------------------------------------------------------------------------
 
-def renyi_general(spectrum: EntanglementSpectrum, mu: float) -> float:
-    """Renyi entropy of an explicit spectrum; entries below the rank tolerance
-    are deemed zero and skipped.
+def renyi_orders(spectrum: EntanglementSpectrum, mu_list) -> list:
+    """Renyi entropies of an explicit spectrum at each order of ``mu_list``.
 
-    The power sum is evaluated as a log-sum-exp with max subtraction so deep
-    geometric tails neither underflow nor lose the head term. Orders near 1
-    take the expansion about S_1 (module docstring) with the variance of
-    -ln p over the kept entries. Outside that window a spectrum summing to
-    1 - delta also shifts S_mu by about delta / |mu - 1|. Past ``_HUGE_ORDER``
-    the power sum with p_max^mu factored out is the count of entries tied at
-    p_max, whose log over mu - 1 is below an ulp of -ln p_max: S_mu reads S_inf.
+    The orders are checked, then the normalization; entries below the rank
+    tolerance are skipped, and the logs of the kept ones and their maximum serve
+    every order. The power sum is a log-sum-exp with max subtraction, so deep
+    geometric tails neither underflow nor lose the head term. Orders near 1 take
+    the expansion about S_1 (module docstring) with the variance of -ln p over the
+    kept entries; outside it a spectrum summing to 1 - delta shifts S_mu by about
+    delta / |mu - 1|. Past ``_HUGE_ORDER`` the power sum with p_max^mu factored
+    out counts the entries tied at p_max, and its log over mu - 1 is below an ulp
+    of -ln p_max: S_mu reads S_inf.
     """
-    mu = _check_order(mu)
+    mu_list = [_check_order(mu) for mu in mu_list]
     probs = spectrum.probabilities
-    total = float(np.sum(probs))
+    total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-8:  # NaN fails too
         raise ContractError(f"spectrum sums to {total!r}, not normalized")
     kept = probs[probs > spectrum.rank_tolerance]
     if kept.size == 0:
         raise ContractError("no spectrum entries above the rank tolerance")
-    if mu == 0.0:
-        return math.log(schmidt_rank(spectrum))
-    if mu > _HUGE_ORDER:  # inf too
-        return -math.log(float(np.max(probs)))
     logs = np.log(kept)
-    if abs(mu - 1.0) < _NEAR_ONE:
-        s_1 = float(-np.sum(kept * logs))
-        var = float(np.sum(kept * (logs + s_1) ** 2))
-        return s_1 - (mu - 1.0) * var / 2.0
-    scaled = mu * logs
-    peak = float(np.max(scaled))
-    log_power_sum = peak + math.log(float(np.sum(np.exp(scaled - peak))))
-    return log_power_sum / (1.0 - mu)
+    log_max = float(logs.max())
+
+    def entropy(mu):
+        if mu == 0.0:
+            return math.log(kept.size)
+        if mu > _HUGE_ORDER:  # inf too
+            return -math.log(float(kept.max()))
+        if abs(mu - 1.0) < _NEAR_ONE:
+            s_1 = float(-(kept * logs).sum())
+            var = float((kept * (logs + s_1) ** 2).sum())
+            return s_1 - (mu - 1.0) * var / 2.0
+        peak = mu * log_max  # fl(mu x) is monotone in x, so this is max(mu * logs)
+        powers = mu * logs
+        powers -= peak
+        return (peak + math.log(float(np.exp(powers, out=powers).sum()))) / (1.0 - mu)
+
+    return [entropy(mu) for mu in mu_list]
+
+
+def renyi_general(spectrum: EntanglementSpectrum, mu: float) -> float:
+    """Renyi entropy of an explicit spectrum at one order: ``renyi_orders``' one-order case."""
+    return renyi_orders(spectrum, (mu,))[0]

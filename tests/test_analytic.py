@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mek.analytic import (
     parse_renyi_order,
     renyi_general,
+    renyi_orders,
     renyi_sh,
     renyi_squeezed,
     sh_spectrum,
@@ -369,6 +370,101 @@ class TestRenyiGeneral:
         for mu in (0.5, 1.0, 2.0, math.inf):
             with pytest.raises(ContractError, match="not normalized"):
                 renyi_general(spectrum, mu)
+
+
+def _per_order_renyi(spectrum: EntanglementSpectrum, mu: float) -> float:
+    """``renyi_general`` as it was when every order made its own pass over the spectrum."""
+    mu = float(mu)
+    if math.isnan(mu) or mu < 0.0:
+        raise ValueError(f"Renyi order must be >= 0, got {mu}")
+    probs = spectrum.probabilities
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= 1e-8:  # NaN fails too
+        raise ContractError(f"spectrum sums to {total!r}, not normalized")
+    kept = probs[probs > spectrum.rank_tolerance]
+    if kept.size == 0:
+        raise ContractError("no spectrum entries above the rank tolerance")
+    if mu == 0.0:
+        return math.log(int(np.count_nonzero(probs > spectrum.rank_tolerance)))
+    if mu > sys.float_info.max / 745.0:
+        return -math.log(float(np.max(probs)))
+    logs = np.log(kept)
+    if abs(mu - 1.0) < 1e-5:
+        s_1 = float(-np.sum(kept * logs))
+        var = float(np.sum(kept * (logs + s_1) ** 2))
+        return s_1 - (mu - 1.0) * var / 2.0
+    scaled = mu * logs
+    peak = float(np.max(scaled))
+    log_power_sum = peak + math.log(float(np.sum(np.exp(scaled - peak))))
+    return log_power_sum / (1.0 - mu)
+
+
+_EDGE_ORDERS = (0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-4, 1.0 + 1e-4, 2.0, 5.0, 2.5e305,
+                math.inf)
+
+
+@st.composite
+def _spectra(draw):
+    """Normalized spectra: random weights, or a geometric tail down to the subnormals."""
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(
+            st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-300, 5e-324, 1e-12]),
+            min_size=1, max_size=40,
+        )))
+        assume(weights.sum() > 0.0)
+        probs = weights / weights.sum()
+    else:
+        ratio = draw(st.floats(1e-3, 0.999))
+        probs = (1.0 - ratio) * ratio ** np.arange(draw(st.integers(1, 3000)))
+        probs /= probs.sum()
+    assume(abs(float(np.sum(probs)) - 1.0) <= 1e-8)
+    return EntanglementSpectrum(probs, draw(st.sampled_from([0.0, 1e-10])))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, ContractError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRenyiOrders:
+    """``renyi_orders`` gives every order the bytes of its own per-order pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spectra(), st.lists(st.sampled_from(_EDGE_ORDERS) | st.floats(0.0, 50.0),
+                                min_size=1, max_size=8))
+    def test_same_bytes_as_one_pass_per_order(self, spectrum, mu_list):
+        values = renyi_orders(spectrum, mu_list)
+        expected = [_per_order_renyi(spectrum, mu) for mu in mu_list]
+        assert values == expected
+        assert [v.hex() for v in values] == [v.hex() for v in expected]  # -0.0 too
+        assert [renyi_general(spectrum, mu) for mu in mu_list] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_spectra(), st.lists(st.sampled_from(_EDGE_ORDERS), min_size=1, max_size=4),
+           st.sampled_from(["unnormalized", "nan", "empty", "negative order", "nan order"]))
+    def test_same_errors_as_one_pass_per_order(self, spectrum, mu_list, fault):
+        if fault == "unnormalized":
+            spectrum = EntanglementSpectrum(spectrum.probabilities * 0.9, spectrum.rank_tolerance)
+        elif fault == "nan":
+            spectrum = EntanglementSpectrum(np.append(spectrum.probabilities, math.nan), 0.0)
+        elif fault == "empty":
+            spectrum = EntanglementSpectrum(spectrum.probabilities, 1.0)
+        else:
+            mu_list = [-1.0 if fault == "negative order" else math.nan, *mu_list]
+        expected = _outcome(lambda: [_per_order_renyi(spectrum, mu) for mu in mu_list])
+        assert isinstance(expected, tuple)
+        assert _outcome(lambda: renyi_orders(spectrum, mu_list)) == expected
+        assert _outcome(lambda: [renyi_general(spectrum, mu) for mu in mu_list]) == expected
+
+    def test_orders_in_any_sequence(self):
+        spectrum = EntanglementSpectrum(squeezed_spectrum(1.0, np.arange(400)), 0.0)
+        forward = renyi_orders(spectrum, [0.5, 1.0, 2.0, math.inf])
+        assert renyi_orders(spectrum, [math.inf, 2.0, 0.5, 1.0, 0.5]) == [
+            forward[3], forward[2], forward[0], forward[1], forward[0]
+        ]
+        assert renyi_orders(spectrum, []) == []
 
 
 class TestHugeOrders:

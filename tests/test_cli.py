@@ -395,8 +395,28 @@ class TestRunSweep:
         assert sorted(calls) == [0.5, 1.0, 2.0, math.inf]
         assert [row[2] for row in rows] == [original(0.7, mu) for mu in (0.5, 1.0, 2.0, math.inf)]
 
+    def test_one_kernel_call_per_oracle_point(self, monkeypatch):
+        # every order of a point is read off one spectrum in one renyi_orders call
+        calls = {"renyi_orders": 0, "renyi_general": 0}
+
+        def counted(name):
+            real = getattr(analytic, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(analytic, name, counted(name))
+        _, rows, code = run_sweep(
+            SweepConfig("squeezed", [0.3, 0.6, 0.9], [0.5, 1.0, 2.0, math.inf], oracle=True)
+        )
+        assert calls == {"renyi_orders": 3, "renyi_general": 0}
+        assert len(rows) == 12 and code == 0
+
     def test_nan_deviation_fails_the_gate(self, monkeypatch):
-        monkeypatch.setattr(analytic, "renyi_general", lambda spectrum, mu: math.nan)
+        monkeypatch.setattr(analytic, "renyi_orders", lambda spectrum, mu_list: [math.nan] * len(mu_list))
         _, rows, code = run_sweep(SweepConfig("squeezed", [0.5], [2.0], oracle=True))
         assert math.isnan(rows[0][-1])
         assert code == 1
@@ -629,10 +649,12 @@ VERIFY_FAULTS = {
         lambda real: lambda gen, scales=None: real(gen, scales) * (1.0 + 1e-9 * (scales is None)),
     ),
     "coherent-rank-one": (spectra, "schmidt_coefficients", _second_bumped),
-    # only the coherent plan's spectra carry a positive rank tolerance to renyi_general
+    # only the coherent plan's spectra carry a positive rank tolerance to renyi_orders
     "coherent-zero-entropy": (
-        analytic, "renyi_general",
-        lambda real: lambda spectrum, mu: real(spectrum, mu) + 1e-6 * (spectrum.rank_tolerance > 0),
+        analytic, "renyi_orders",
+        lambda real: lambda spectrum, mu_list: [
+            value + 1e-6 * (spectrum.rank_tolerance > 0) for value in real(spectrum, mu_list)
+        ],
     ),
     "squeezed-oracle-equivalence": (
         cli, "oracle_squeezed_spectrum", _moved_on(lambda *args, mu_list=(), **kwargs: mu_list)
@@ -795,6 +817,14 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("mek: ") and "order 1e-300" in err and len(err) < 200
+        # below mu ~ 1e-307 the exponent itself overflows float64; it is sized from its log
+        for mu, size in [("5e-324", "10^(-2.43e+324)"), ("1e-310", "10^(-1.2e+311)")]:
+            code = cli.main(["sweep", "--family", "squeezed", "--oracle", "--grid", "0.5",
+                             "--mu", mu])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("mek: ") and f"~ {size}," in err and len(err) < 200
+            assert f"order {float(mu):g}" in err and "inf" not in err
 
     @pytest.mark.parametrize("family, grid", [("squeezed", "1"), ("silbey-harris", "0.5")])
     def test_orders_near_one_pass_the_oracle_gate(self, family, grid, capsys):
