@@ -8,14 +8,12 @@ tables, and the verification battery.
 """
 
 from .analytic import (
-    renyi_general,
     renyi_orders,
     renyi_sh,
     renyi_squeezed,
     sh_spectrum,
     squeezed_entanglement_spectrum,
     squeezed_spectrum,
-    von_neumann_limit_check,
 )
 from .exceptions import (
     ContractError,

@@ -4,10 +4,10 @@ Every formula here has an independent truncated-basis counterpart built from
 :mod:`mek.fockspace` + :mod:`mek.spectra`; the two routes are compared in the
 test suite and by ``mek verify``.
 
-The spectrum-driven entropies (``renyi_orders``, and ``renyi_general`` for one
-order) read the oracle's explicit spectra. The -ln p_n are the Boltzmann
-energies of the effective thermal theory, so every order comes from one set of
-levels: the checks, the kept entries and their logs are shared by all orders.
+The one spectrum-driven kernel, ``renyi_orders``, reads the oracle's explicit
+spectra. The -ln p_n are the Boltzmann energies of the effective thermal
+theory, so every order comes from one set of levels: the checks, the kept
+entries and their logs are shared by all orders.
 
 Renyi orders are plain floats with three distinguished limits: 0 (log of the
 Schmidt rank), 1 (von Neumann), and ``math.inf`` (single-copy entanglement,
@@ -125,15 +125,6 @@ def renyi_squeezed(r: float, mu: float) -> float:
     return (log1mexp(2.0 * mu * lt) + 2.0 * mu * lc) / (mu - 1.0)
 
 
-def von_neumann_limit_check(r: float, epsilon: float) -> float:
-    """|S_{1+eps} - S_1| for the squeezed family; shrinks linearly with eps."""
-    if r <= 0.0:
-        raise ValueError("limit check needs r > 0")
-    if not 0.0 < epsilon < 0.1:
-        raise ValueError("epsilon must lie in (0, 0.1)")
-    return abs(renyi_squeezed(r, 1.0 + epsilon) - renyi_squeezed(r, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # qubit-boson superposition family
 # ---------------------------------------------------------------------------
@@ -218,8 +209,3 @@ def renyi_orders(spectrum: EntanglementSpectrum, mu_list) -> list:
         return (peak + math.log(float(np.exp(powers, out=powers).sum()))) / (1.0 - mu)
 
     return [entropy(mu) for mu in mu_list]
-
-
-def renyi_general(spectrum: EntanglementSpectrum, mu: float) -> float:
-    """Renyi entropy of an explicit spectrum at one order: ``renyi_orders``' one-order case."""
-    return renyi_orders(spectrum, (mu,))[0]

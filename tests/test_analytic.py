@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from mek.analytic import (
     parse_renyi_order,
-    renyi_general,
     renyi_orders,
     renyi_sh,
     renyi_squeezed,
     sh_spectrum,
     squeezed_spectrum,
-    von_neumann_limit_check,
 )
 from mek._stable import log_cosh, log_tanh
 from mek.exceptions import ContractError
@@ -143,23 +141,22 @@ class TestRenyiSqueezed:
         assert renyi_squeezed(hi, mu) > renyi_squeezed(lo, mu)
 
 
+def _limit_gap(r, eps):
+    """|S_{1+eps} - S_1| of the squeezed family, which shrinks linearly with eps."""
+    return abs(renyi_squeezed(r, 1.0 + eps) - renyi_squeezed(r, 1.0))
+
+
 class TestVonNeumannLimit:
     def test_difference_shrinks_linearly(self):
-        ratio = von_neumann_limit_check(1.0, 1e-3) / von_neumann_limit_check(1.0, 1e-4)
+        ratio = _limit_gap(1.0, 1e-3) / _limit_gap(1.0, 1e-4)
         assert ratio == pytest.approx(10.0, rel=0.2)
 
     def test_small_epsilon_is_close(self):
-        assert von_neumann_limit_check(0.5, 1e-6) < 1e-5
+        assert _limit_gap(0.5, 1e-6) < 1e-5
 
     def test_monotone_in_epsilon(self):
-        diffs = [von_neumann_limit_check(2.0, eps) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+        diffs = [_limit_gap(2.0, eps) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            von_neumann_limit_check(0.0, 1e-3)
-        with pytest.raises(ValueError):
-            von_neumann_limit_check(1.0, 0.5)
 
 
 class TestShOverlap:
@@ -218,11 +215,9 @@ class TestRenyiSh:
 
     def test_matches_spectrum_route(self):
         params = SHParams((0.4, 0.7))
-        spectrum = sh_spectrum(params)
-        for mu in (0.5, 1.0, 2.0, 3.5, math.inf):
-            assert renyi_sh(params, mu) == pytest.approx(
-                renyi_general(spectrum, mu), abs=1e-13
-            )
+        mu_list = (0.5, 1.0, 2.0, 3.5, math.inf)
+        for mu, value in zip(mu_list, renyi_orders(sh_spectrum(params), mu_list)):
+            assert renyi_sh(params, mu) == pytest.approx(value, abs=1e-13)
 
     def test_saturation_is_exponential(self):
         for dot in (2.0, 2.5, 3.0, 4.0):
@@ -316,24 +311,25 @@ class TestOrdersNearOne:
         expected = S_VN_R1 - eps * var / 2.0
         assert renyi_squeezed(r, 1.0 + eps) == pytest.approx(expected, abs=1e-15)
         spectrum = EntanglementSpectrum(probs, 0.0)
-        assert renyi_general(spectrum, 1.0 + eps) == pytest.approx(expected, abs=1e-13)
+        assert renyi_orders(spectrum, [1.0 + eps])[0] == pytest.approx(expected, abs=1e-13)
         params = SHParams((0.5, 0.3))
         p_minus = -math.expm1(-2.0 * params.f_dot_f) / 2.0
         two = EntanglementSpectrum(np.array([1.0 - p_minus, p_minus]), 0.0)
-        assert renyi_sh(params, 1.0 + eps) == pytest.approx(renyi_general(two, 1.0 + eps),
+        assert renyi_sh(params, 1.0 + eps) == pytest.approx(renyi_orders(two, [1.0 + eps])[0],
                                                             abs=1e-15)
 
 
 class TestRenyiGeneral:
+    """``renyi_orders`` on explicit spectra of any shape."""
+
     def test_pure_reduction(self):
         spectrum = EntanglementSpectrum(np.array([1.0, 0.0, 0.0]))
-        for mu in (0.0, 0.5, 1.0, 2.0, math.inf):
-            assert renyi_general(spectrum, mu) == 0.0
+        assert renyi_orders(spectrum, (0.0, 0.5, 1.0, 2.0, math.inf)) == [0.0] * 5
 
     def test_maximally_entangled_qubit(self):
         spectrum = EntanglementSpectrum(np.array([0.5, 0.5]))
-        for mu in (0.0, 0.5, 1.0, 2.0, math.inf):
-            assert renyi_general(spectrum, mu) == pytest.approx(math.log(2.0), abs=1e-15)
+        for value in renyi_orders(spectrum, (0.0, 0.5, 1.0, 2.0, math.inf)):
+            assert value == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_matches_closed_form_on_squeezed_spectrum(self):
         for r, count, mu, tol in [
@@ -343,7 +339,7 @@ class TestRenyiGeneral:
             (0.8, 300, math.inf, 1e-12),
         ]:
             spectrum = EntanglementSpectrum(squeezed_spectrum(r, np.arange(count)), 0.0)
-            assert renyi_general(spectrum, mu) == pytest.approx(renyi_squeezed(r, mu), abs=tol)
+            assert renyi_orders(spectrum, [mu])[0] == pytest.approx(renyi_squeezed(r, mu), abs=tol)
 
     def test_matches_brute_force_on_random_spectra(self):
         rng = np.random.default_rng(4)
@@ -351,29 +347,27 @@ class TestRenyiGeneral:
             raw = rng.dirichlet(np.ones(12))
             probs = np.sort(raw)[::-1]
             spectrum = EntanglementSpectrum(probs, rank_tolerance=0.0)
-            for mu in (0.3, 1.0, 2.0, 7.0, math.inf):
-                assert renyi_general(spectrum, mu) == pytest.approx(
-                    brute_renyi(probs, mu), abs=1e-12
-                )
+            mu_list = (0.3, 1.0, 2.0, 7.0, math.inf)
+            for mu, value in zip(mu_list, renyi_orders(spectrum, mu_list)):
+                assert value == pytest.approx(brute_renyi(probs, mu), abs=1e-12)
 
     def test_rank_tolerance_masks_noise(self):
         spectrum = EntanglementSpectrum(np.array([1.0, 1e-15, 1e-16]), 1e-10)
-        assert renyi_general(spectrum, 0.5) == 0.0
+        assert renyi_orders(spectrum, [0.5]) == [0.0]
 
     def test_unnormalized_rejected(self):
         spectrum = EntanglementSpectrum(np.array([0.5, 0.4]))
         with pytest.raises(ContractError):
-            renyi_general(spectrum, 2.0)
+            renyi_orders(spectrum, [2.0])
 
     def test_nan_spectrum_rejected(self):
         spectrum = EntanglementSpectrum(np.array([math.nan, 1.0]), 0.0)
-        for mu in (0.5, 1.0, 2.0, math.inf):
-            with pytest.raises(ContractError, match="not normalized"):
-                renyi_general(spectrum, mu)
+        with pytest.raises(ContractError, match="not normalized"):
+            renyi_orders(spectrum, (0.5, 1.0, 2.0, math.inf))
 
 
 def _per_order_renyi(spectrum: EntanglementSpectrum, mu: float) -> float:
-    """``renyi_general`` as it was when every order made its own pass over the spectrum."""
+    """S_mu of ``spectrum`` as it was computed when every order made its own pass over it."""
     mu = float(mu)
     if math.isnan(mu) or mu < 0.0:
         raise ValueError(f"Renyi order must be >= 0, got {mu}")
@@ -439,7 +433,7 @@ class TestRenyiOrders:
         expected = [_per_order_renyi(spectrum, mu) for mu in mu_list]
         assert values == expected
         assert [v.hex() for v in values] == [v.hex() for v in expected]  # -0.0 too
-        assert [renyi_general(spectrum, mu) for mu in mu_list] == expected
+        assert [renyi_orders(spectrum, [mu])[0] for mu in mu_list] == expected
 
     @settings(max_examples=100, deadline=None)
     @given(_spectra(), st.lists(st.sampled_from(_EDGE_ORDERS), min_size=1, max_size=4),
@@ -456,7 +450,7 @@ class TestRenyiOrders:
         expected = _outcome(lambda: [_per_order_renyi(spectrum, mu) for mu in mu_list])
         assert isinstance(expected, tuple)
         assert _outcome(lambda: renyi_orders(spectrum, mu_list)) == expected
-        assert _outcome(lambda: [renyi_general(spectrum, mu) for mu in mu_list]) == expected
+        assert _outcome(lambda: [renyi_orders(spectrum, [mu])[0] for mu in mu_list]) == expected
 
     def test_orders_in_any_sequence(self):
         spectrum = EntanglementSpectrum(squeezed_spectrum(1.0, np.arange(400)), 0.0)
@@ -489,8 +483,8 @@ class TestHugeOrders:
         spectrum = EntanglementSpectrum(squeezed_spectrum(1.0, np.arange(1500)), 0.0)
         probs = spectrum.probabilities
         assert 0.0 < probs[probs > 0.0].min() < sys.float_info.min
-        value = renyi_general(spectrum, mu)
-        assert value == pytest.approx(renyi_general(spectrum, math.inf), rel=1e-15)
+        value, single_copy = renyi_orders(spectrum, [mu, math.inf])
+        assert value == pytest.approx(single_copy, rel=1e-15)
         assert value == pytest.approx(renyi_squeezed(1.0, mu), rel=1e-14)
 
 

@@ -277,6 +277,19 @@ class TestMemoryBudget:
         monkeypatch.setenv("MEK_MEM_BUDGET", str(need))
         assert self.RULES[rule]().cutoff.dim == dim
 
+    def test_grown_squeezed_coherent_box_is_budgeted(self, monkeypatch):
+        # the plan's box at r = 1.5 fits the budget, the box grown past its outside mass does not
+        reordered = fockspace.reordered_displacement(
+            fockspace.SqueezedStateParams(1.5), cli.SWEEP_DISPLACEMENT
+        )
+        dim, need = _budget_refusal(
+            lambda: cli.OraclePlan.displaced(1.5, reordered, 1e-10), monkeypatch
+        )
+        monkeypatch.setenv("MEK_MEM_BUDGET", str(need))
+        config = SweepConfig("squeezed-coherent", [1.5], [1.0], oracle=True, tail_tolerance=1e-10)
+        with pytest.raises(MemoryBudgetError, match=f" d = {dim + 1} needs "):
+            run_sweep(config)
+
     @pytest.mark.parametrize("plan", [
         lambda a, b: cli.OraclePlan.displaced(1.0, fockspace.DisplacementParams(a, b), 1e-12),
         lambda a, b: cli.OraclePlan.coherent_product((a, b), 1e-12),
@@ -397,22 +410,18 @@ class TestRunSweep:
 
     def test_one_kernel_call_per_oracle_point(self, monkeypatch):
         # every order of a point is read off one spectrum in one renyi_orders call
-        calls = {"renyi_orders": 0, "renyi_general": 0}
+        calls = []
+        real = analytic.renyi_orders
 
-        def counted(name):
-            real = getattr(analytic, name)
+        def counted(spectrum, mu_list):
+            calls.append(list(mu_list))
+            return real(spectrum, mu_list)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(analytic, name, counted(name))
+        monkeypatch.setattr(analytic, "renyi_orders", counted)
         _, rows, code = run_sweep(
             SweepConfig("squeezed", [0.3, 0.6, 0.9], [0.5, 1.0, 2.0, math.inf], oracle=True)
         )
-        assert calls == {"renyi_orders": 3, "renyi_general": 0}
+        assert calls == [[0.5, 1.0, 2.0, math.inf]] * 3
         assert len(rows) == 12 and code == 0
 
     def test_nan_deviation_fails_the_gate(self, monkeypatch):
@@ -482,6 +491,29 @@ class TestRunSweep:
         _, rows, code = run_sweep(config)
         assert code == 0
         assert max(row[-1] for row in rows) < cli.ORACLE_DEV_LIMIT
+
+    def test_squeezed_coherent_box_grows_until_its_outside_mass_fits(self, monkeypatch):
+        # at the 1e-10 tail the plan's box for r = 1.5 (n_max = 139) puts 3.5e-10
+        # outside it, past the 1e-10 leak tolerance; the oracle grows the box instead
+        # of exiting 2
+        reordered = fockspace.reordered_displacement(
+            fockspace.SqueezedStateParams(1.5), cli.SWEEP_DISPLACEMENT
+        )
+        assert cli.OraclePlan.displaced(1.5, reordered, 1e-10).cutoff.n_max == 139
+        plans = []
+        reduce = cli._reduced_spectrum
+
+        def capturing(state, plan, keep_factor=0):
+            plans.append(plan)
+            return reduce(state, plan, keep_factor)
+
+        monkeypatch.setattr(cli, "_reduced_spectrum", capturing)
+        _, rows, code = run_sweep(SweepConfig("squeezed-coherent", [1.5], [1.0, 2.0, math.inf],
+                                              oracle=True, tail_tolerance=1e-10))
+        assert code == 0
+        assert max(row[-1] for row in rows) < 1e-8
+        [plan] = plans
+        assert plan.cutoff.n_max > 139
 
     def test_displaced_oracle_matches(self):
         config = SweepConfig("displaced-squeezed", [0.5], [1.0, 2.0], oracle=True)
@@ -682,9 +714,14 @@ VERIFY_FAULTS = {
     "renyi-monotonicity": (
         analytic, "renyi_squeezed", lambda real: lambda r, mu: real(r, mu) + (mu == 10.0)
     ),
-    # linear convergence read as its square root: the ratio is sqrt(10), not 10
+    # linear convergence read as its square root: the ratio is sqrt(10), not 10; no
+    # other check evaluates the orders 1 + 1e-3 and 1 + 1e-4
     "von-neumann-limit": (
-        analytic, "von_neumann_limit_check", lambda real: lambda *args: real(*args) ** 0.5
+        analytic, "renyi_squeezed",
+        lambda real: lambda r, mu: (
+            real(r, 1.0) - abs(real(r, mu) - real(r, 1.0)) ** 0.5
+            if mu in (1.0 + 1e-3, 1.0 + 1e-4) else real(r, mu)
+        ),
     ),
 }
 
