@@ -23,6 +23,17 @@ def log_tanh(x: float) -> float:
     return math.log1p(-2.0 * t / (1.0 + t))
 
 
+def expm1mx(x: float) -> float:
+    """e^x - 1 - x, >= 0, to relative precision: the Taylor series from x^2/2 below |x| = 1/2."""
+    if abs(x) >= 0.5:
+        return math.expm1(x) - x
+    term = total = 0.5 * x * x
+    for k in range(3, 17):  # the first term left out, x^17 / 17!, is below 2^-60 of x^2 / 2
+        term *= x / k
+        total += term
+    return total
+
+
 def log1mexp(x: float) -> float:
     """ln(1 - e^x) for x < 0, stable near both ends."""
     if x >= 0.0:

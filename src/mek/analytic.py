@@ -15,17 +15,10 @@ Schmidt rank), 1 (von Neumann), and ``math.inf`` (single-copy entanglement,
 infinite, so the order-0 entropy returns ``inf`` rather than a
 truncation-dependent number.
 
-Orders near 1 take the first-order expansion about the von Neumann entropy,
-S_mu ~ S_1 - (mu - 1) Var(-ln p) / 2 (Yao & Qi, PRL 105 (2010) 080501),
-whenever |mu - 1| < 1e-5. There the direct power sum cancels 1 - (mu - 1) S_1
-against 1 and loses about 1e-16 / |mu - 1| relative (1e-3 at mu = 1 + 1e-13),
-while the expansion drops the next term, (mu - 1)^2 kappa_3 / 6 with kappa_3
-the third cumulant of -ln p. The crossover 1e-5 balances the two for r and
-f.f of order 1: both are near 1e-11 relative there (2e-11 at r = 1). At small
-parameters kappa_3 / S_1 grows as ln^2 of the smallest probability, and the
-expansion's error with it: 3e-10 relative at r = 0.1 and 2e-8 at r = 1e-8 for
-|mu - 1| just below 1e-5. Inside the window every entropy is linear in mu with
-slope -Var / 2 <= 0, so it is monotone.
+Orders with |eps| < 1/4, eps = mu - 1, are exact too. There ln sum p^mu is read
+as log1p(sum p expm1(eps ln p)), whose terms share one sign, instead of cancelling
+sum p^mu ~ 1 - eps S_1 against 1. The closed forms take S_1 minus a gap summed
+from e^x - 1 - x >= 0, monotone in mu through mu = 1, where they return S_1.
 """
 
 import math
@@ -33,13 +26,13 @@ import sys
 
 import numpy as np
 
-from ._stable import log1mexp, log_cosh, log_tanh
+from ._stable import expm1mx, log1mexp, log_cosh, log_tanh
 from .exceptions import ContractError
 from .fockspace import SHParams
 from .spectra import EntanglementSpectrum
 
 
-_NEAR_ONE = 1e-5  # orders with |mu - 1| below this take the first-order expansion
+_NEAR_ONE = 0.25  # orders with |mu - 1| below this take the exact forms about S_1
 # |ln p| <= 745 for every positive double p, so mu ln p can overflow only past this
 # order; there mu / (mu - 1) is 1 and S_mu is S_inf to double precision
 _HUGE_ORDER = sys.float_info.max / 745.0
@@ -94,7 +87,9 @@ def renyi_squeezed(r: float, mu: float) -> float:
     in a ln(1 - e^x) form that survives large r and large mu; the 0 and inf
     orders dispatch to their closed-form limits, as does an order past
     ``_HUGE_ORDER`` or one whose 2 mu ln cosh r overflows (S_mu is S_inf to an
-    ulp there), and orders near 1 take the expansion about S_1 (module docstring).
+    ulp there). Within |mu - 1| < 1/4, S_mu = S_1 - gap with
+    gap = [sinh^2 r expm1mx(y) + expm1mx(log1p(x))] / (mu - 1), where
+    y = 2 (mu - 1) ln tanh r and x = -sinh^2 r expm1(y).
     """
     if r < 0.0:
         raise ValueError(f"squeezing magnitude must be non-negative, got {r}")
@@ -107,22 +102,21 @@ def renyi_squeezed(r: float, mu: float) -> float:
     lt = log_tanh(r)
     if mu > _HUGE_ORDER or math.isinf(2.0 * mu * lc):  # inf, or 2 mu ln cosh r overflows
         return 2.0 * lc
-    if abs(mu - 1.0) < _NEAR_ONE:
-        # -ln p_n = 2 ln cosh r - 2 n ln tanh r, and n is geometric with
-        # variance sinh^2 r cosh^2 r, so Var(-ln p) = (ln tanh r sinh 2r)^2
-        if r > 20.0:
-            # sinh^2 r * (-ln tanh r) -> 1/2 - e^{-2r} and -ln tanh r sinh 2r
-            # -> 1 - 2 e^{-4r} / 3, already 1/2 and 1 to double precision
-            s_1, var = 2.0 * lc + 1.0, 1.0
-        else:
-            s_1 = 2.0 * lc - 2.0 * math.sinh(r) ** 2 * lt
-            var = (lt * math.sinh(2.0 * r)) ** 2
-        return s_1 - (mu - 1.0) * var / 2.0
+    eps = mu - 1.0
     if r > 300.0:
-        # 1 - tanh^{2 mu} r -> 4 mu e^{-2r}, below the underflow threshold of
-        # the direct evaluation but trivial in log form
-        return (math.log(4.0 * mu) - 2.0 * r + 2.0 * mu * lc) / (mu - 1.0)
-    return (log1mexp(2.0 * mu * lt) + 2.0 * mu * lc) / (mu - 1.0)
+        # 1 - tanh^{2 mu} r -> 4 mu e^{-2r} below the underflow threshold, so
+        # S_mu = 2 ln cosh r + ln(mu) / (mu - 1), whose limit at mu = 1 is 2 ln cosh r + 1
+        return 2.0 * lc + (math.log(mu) / eps if eps else 1.0)
+    if abs(eps) >= _NEAR_ONE:
+        return (log1mexp(2.0 * mu * lt) + 2.0 * mu * lc) / eps
+    sinh = math.sinh(r)
+    s_1 = 2.0 * lc - 2.0 * sinh ** 2 * lt
+    if eps == 0.0:
+        return s_1
+    # one sinh factor at a time, so that only the gap itself can be subnormal
+    y = 2.0 * eps * lt
+    x = -sinh * (sinh * math.expm1(y))
+    return s_1 - (sinh * (sinh * (expm1mx(y) / eps)) + expm1mx(math.log1p(x)) / eps)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +138,9 @@ def renyi_sh(params: SHParams, mu: float) -> float:
     """Renyi entropy of the qubit reduction of the qubit-boson superposition.
 
     The weights come as p- = -expm1(-2 f.f)/2 and ln p+ = log1p(-p-), so the
-    entropies keep relative precision down to the smallest f.f > 0. Orders
-    near 1 take the expansion about S_1 (module docstring).
+    entropies keep relative precision down to the smallest f.f > 0. Within
+    |mu - 1| < 1/4, S_mu = S_1 - log1p(sum p expm1mx(eps (ln p + S_1))) / eps with
+    eps = mu - 1, ln p+ + S_1 = p- (ln p+ - ln p-) and ln p- + S_1 = -p+ (ln p+ - ln p-).
     """
     mu = _check_order(mu)
     if params.f_dot_f == 0.0:
@@ -156,13 +151,17 @@ def renyi_sh(params: SHParams, mu: float) -> float:
         return math.log(2.0)
     if math.isinf(mu):
         return -log_plus
-    if abs(mu - 1.0) < _NEAR_ONE:
-        log_minus = math.log(p_minus)  # f.f > 0 keeps p- > 0
+    log_minus = math.log(p_minus)  # f.f > 0 keeps p- > 0
+    eps = mu - 1.0
+    if abs(eps) < _NEAR_ONE:
         s_1 = -(1.0 - p_minus) * log_plus - p_minus * log_minus
-        var = (1.0 - p_minus) * p_minus * (log_plus - log_minus) ** 2
-        return s_1 - (mu - 1.0) * var / 2.0
+        if eps == 0.0:
+            return s_1
+        spread = eps * (log_plus - log_minus)
+        return s_1 - math.log1p((1.0 - p_minus) * expm1mx(p_minus * spread)
+                                + p_minus * expm1mx(-(1.0 - p_minus) * spread)) / eps
     log_hi = mu * log_plus  # p+ >= 1/2 >= p-, so this term leads
-    log_lo = mu * math.log(p_minus)
+    log_lo = mu * log_minus
     return (log_hi + math.log1p(math.exp(log_lo - log_hi))) / (1.0 - mu)
 
 
@@ -176,9 +175,10 @@ def renyi_orders(spectrum: EntanglementSpectrum, mu_list) -> list:
     The orders are checked, then the normalization; entries below the rank
     tolerance are skipped, and the logs of the kept ones and their maximum serve
     every order. The power sum is a log-sum-exp with max subtraction, so deep
-    geometric tails neither underflow nor lose the head term. Orders near 1 take
-    the expansion about S_1 (module docstring) with the variance of -ln p over the
-    kept entries; outside it a spectrum summing to 1 - delta shifts S_mu by about
+    geometric tails neither underflow nor lose the head term. Within |mu - 1| <
+    1/4, S_mu = -log1p(sum p expm1((mu - 1) ln p)) / (mu - 1) instead: a spectrum
+    summing to 1 - delta moves it, as it moves S_1, by about delta ln(1 / p) of
+    the missing entries, where outside the window it shifts S_mu by about
     delta / |mu - 1|. Past ``_HUGE_ORDER`` the power sum with p_max^mu factored
     out counts the entries tied at p_max, and its log over mu - 1 is below an ulp
     of -ln p_max: S_mu reads S_inf.
@@ -199,10 +199,10 @@ def renyi_orders(spectrum: EntanglementSpectrum, mu_list) -> list:
             return math.log(kept.size)
         if mu > _HUGE_ORDER:  # inf too
             return -math.log(float(kept.max()))
+        if mu == 1.0:
+            return float(-(kept * logs).sum())
         if abs(mu - 1.0) < _NEAR_ONE:
-            s_1 = float(-(kept * logs).sum())
-            var = float((kept * (logs + s_1) ** 2).sum())
-            return s_1 - (mu - 1.0) * var / 2.0
+            return -math.log1p(float((kept * np.expm1((mu - 1.0) * logs)).sum())) / (mu - 1.0)
         peak = mu * log_max  # fl(mu x) is monotone in x, so this is max(mu * logs)
         powers = mu * logs
         powers -= peak

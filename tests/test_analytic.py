@@ -19,6 +19,8 @@ from mek.exceptions import ContractError
 from mek.fockspace import SHParams
 from mek.spectra import EntanglementSpectrum
 
+import renyi_reference
+
 # frozen with 30-digit arithmetic
 LN_COSH_2 = 1.3250027473578644          # S_2 at r = 1
 TWO_LN_COSH_1 = 0.8675616609660544      # S_inf at r = 1
@@ -270,7 +272,7 @@ class TestSmallParameters:
     @settings(max_examples=300, deadline=None)
     @given(r=log_uniform(-300.0, 0.0), dot=log_uniform(-300.0, 0.0))
     def test_non_negative_monotone_and_s2_exact(self, r, dot):
-        # orders near 1 take the expansion about S_1 (TestOrdersNearOne)
+        # orders near 1 take the exact forms about S_1 (TestOrdersNearOne)
         orders = (0.5, 2.0, 5.0, math.inf)
         params = SHParams((math.sqrt(dot),))
         for entropy in (lambda mu: renyi_squeezed(r, mu), lambda mu: renyi_sh(params, mu)):
@@ -283,8 +285,13 @@ class TestSmallParameters:
         assert rel_close(renyi_sh(params, 2.0), reference)
 
 
+# 1, both edges of the window |mu - 1| < 1/4 and 1 +- 10^-k
+_WINDOW_ORDERS = (1.0, 0.75, 1.25, math.nextafter(0.75, 1.0), math.nextafter(1.25, 1.0),
+                  *(1.0 + sign * 10.0 ** -k for k in range(1, 16) for sign in (1.0, -1.0)))
+
+
 class TestOrdersNearOne:
-    """Within |mu - 1| < 1e-5 the entropies take S_1 - (mu - 1) Var(-ln p) / 2."""
+    """Within |mu - 1| < 1/4 the entropies take exact forms about S_1."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -299,19 +306,31 @@ class TestOrdersNearOne:
         assert renyi_squeezed(r, lo) >= renyi_squeezed(r, hi)
         assert renyi_sh(params, lo) >= renyi_sh(params, hi)
 
+    @settings(max_examples=300, deadline=None)
+    @given(r=log_uniform(-8.0, 3.0), dot=log_uniform(-12.0, math.log10(18.0)),
+           mu=st.sampled_from(_WINDOW_ORDERS))
+    def test_exact_against_the_decimal_reference(self, r, dot, mu):
+        # S_mu is a normal float at every r and f.f drawn here, so rel_close
+        # compares all its digits
+        assert rel_close(renyi_squeezed(r, mu), renyi_reference.renyi_squeezed(r, mu), 1e-14)
+        params = SHParams((math.sqrt(dot),))
+        assert rel_close(renyi_sh(params, mu), renyi_reference.renyi_sh(params.f_dot_f, mu), 1e-14)
+
     @pytest.mark.parametrize("eps", [1e-13, -1e-13, 1e-7, -4e-6])
     def test_slope_is_half_the_variance(self, eps):
-        # d S_mu / d mu at mu = 1 is -Var(-ln p) / 2; the truncated spectrum
-        # of r = 1 and the closed forms must agree on it
+        # d S_mu / d mu at mu = 1 is -Var(-ln p) / 2; the closed form holds the
+        # reference's digits, and the kernel on the truncated spectrum of r = 1
+        # agrees with it
         r = 1.0
         probs = squeezed_spectrum(r, np.arange(400))
         logs = np.log(probs)
         s1 = -float(np.sum(probs * logs))
         var = float(np.sum(probs * (logs + s1) ** 2))
-        expected = S_VN_R1 - eps * var / 2.0
-        assert renyi_squeezed(r, 1.0 + eps) == pytest.approx(expected, abs=1e-15)
+        value = renyi_squeezed(r, 1.0 + eps)
+        assert rel_close(value, renyi_reference.renyi_squeezed(r, 1.0 + eps), 1e-14)
+        assert (value - S_VN_R1) / eps == pytest.approx(-var / 2.0, rel=1e-2)
         spectrum = EntanglementSpectrum(probs, 0.0)
-        assert renyi_orders(spectrum, [1.0 + eps])[0] == pytest.approx(expected, abs=1e-13)
+        assert renyi_orders(spectrum, [1.0 + eps])[0] == pytest.approx(value, abs=1e-13)
         params = SHParams((0.5, 0.3))
         p_minus = -math.expm1(-2.0 * params.f_dot_f) / 2.0
         two = EntanglementSpectrum(np.array([1.0 - p_minus, p_minus]), 0.0)
@@ -383,18 +402,18 @@ def _per_order_renyi(spectrum: EntanglementSpectrum, mu: float) -> float:
     if mu > sys.float_info.max / 745.0:
         return -math.log(float(np.max(probs)))
     logs = np.log(kept)
-    if abs(mu - 1.0) < 1e-5:
-        s_1 = float(-np.sum(kept * logs))
-        var = float(np.sum(kept * (logs + s_1) ** 2))
-        return s_1 - (mu - 1.0) * var / 2.0
+    if mu == 1.0:
+        return float(-np.sum(kept * logs))
+    if abs(mu - 1.0) < 0.25:
+        return -math.log1p(float(np.sum(kept * np.expm1((mu - 1.0) * logs)))) / (mu - 1.0)
     scaled = mu * logs
     peak = float(np.max(scaled))
     log_power_sum = peak + math.log(float(np.sum(np.exp(scaled - peak))))
     return log_power_sum / (1.0 - mu)
 
 
-_EDGE_ORDERS = (0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-4, 1.0 + 1e-4, 2.0, 5.0, 2.5e305,
-                math.inf)
+_EDGE_ORDERS = (0.0, 0.5, 0.75, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-4, 1.0 + 1e-4, 1.25, 2.0, 5.0,
+                2.5e305, math.inf)
 
 
 @st.composite

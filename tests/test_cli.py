@@ -714,14 +714,10 @@ VERIFY_FAULTS = {
     "renyi-monotonicity": (
         analytic, "renyi_squeezed", lambda real: lambda r, mu: real(r, mu) + (mu == 10.0)
     ),
-    # linear convergence read as its square root: the ratio is sqrt(10), not 10; no
-    # other check evaluates the orders 1 + 1e-3 and 1 + 1e-4
+    # S_mu off by 1e-12 next to the order 1, which no other check evaluates
     "von-neumann-limit": (
         analytic, "renyi_squeezed",
-        lambda real: lambda r, mu: (
-            real(r, 1.0) - abs(real(r, mu) - real(r, 1.0)) ** 0.5
-            if mu in (1.0 + 1e-3, 1.0 + 1e-4) else real(r, mu)
-        ),
+        lambda real: lambda r, mu: real(r, mu) + 1e-12 * (0.0 < abs(mu - 1.0) < 1e-2),
     ),
 }
 
@@ -866,12 +862,28 @@ class TestMainEntry:
     @pytest.mark.parametrize("family, grid", [("squeezed", "1"), ("silbey-harris", "0.5")])
     def test_orders_near_one_pass_the_oracle_gate(self, family, grid, capsys):
         # the direct formulas divide a near-cancellation by mu - 1 (the oracle gave
-        # -7.0 and 10.2 here); the expansion about S_1 keeps both routes in the gate
+        # -7.0 and 10.2 here); the exact forms about S_1 keep both routes in the gate
         code = cli.main(["sweep", "--family", family, "--oracle", "--grid", grid,
                          "--mu", "0.9999999999999,1,1.0000000000001"])
         assert code == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert all(float(row.split(",")[-1]) < cli.ORACLE_DEV_LIMIT for row in rows)
+
+    @pytest.mark.parametrize("tail_tol", [[], ["--tail-tol", "1e-10"]], ids=["default", "1e-10"])
+    @pytest.mark.parametrize("family, grid, mu", [
+        *((family, "0:2:5", "1.00001,1.0001,1.1,1.24") for family in cli.FAMILIES),
+        ("squeezed", "1", "1.00001,1.00003,1.0001"),
+    ])
+    def test_truncation_defect_is_not_divided_by_the_distance_to_one(self, family, grid, mu,
+                                                                     tail_tol, capsys):
+        # a log-sum-exp would shift S_mu of a spectrum summing to 1 - delta by
+        # about delta / |mu - 1|, up to 9.5e-6 on these grids; inside |mu - 1| <
+        # 1/4 the kernel reads delta as S_1 does
+        code = cli.main(["sweep", "--family", family, "--oracle", "--grid", grid, "--mu", mu,
+                         *tail_tol])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(float(row.split(",")[-1]) < cli.ORACLE_DEV_LIMIT for row in rows)
 
     @pytest.mark.parametrize("grid", ["38.5", "100"])
     def test_underflowing_coherent_amplitude_is_named(self, grid, capsys):
