@@ -751,6 +751,21 @@ class TestVerification:
         out = capsys.readouterr().out
         assert f"FAIL {check}" in out
 
+    def test_nan_deviation_fails_its_check(self, capsys, monkeypatch):
+        # max(dev, nan) is dev, so a NaN once passed at 0.000e+00; the worst
+        # deviation of a check now carries the NaN, and the check fails
+        real = analytic.renyi_squeezed
+        monkeypatch.setattr(analytic, "renyi_squeezed",
+                            lambda r, mu: math.nan if mu == 2.0 else real(r, mu))
+        results = run_verification(seed=0)
+        failed = ["squeezed-oracle-equivalence", "purity-identity", "renyi-monotonicity"]
+        assert [result.name for result in results if not result.passed] == failed
+        assert all(math.isnan(result.deviation) for result in results if not result.passed)
+        assert cli.print_verification(results) == 1
+        out = capsys.readouterr().out
+        for name in failed:
+            assert re.search(rf"^FAIL {name} +max_dev=nan tol=", out, re.MULTILINE), out
+
 
 class TestMainEntry:
     @pytest.mark.parametrize("args", [
@@ -791,6 +806,30 @@ class TestMainEntry:
         payload = json.loads(out.read_text())
         assert payload["columns"] == list(SWEEP_HEADER)
         assert len(payload["rows"]) == 2
+
+    @pytest.mark.parametrize("family", ["squeezed", "squeezed-coherent", "coherent",
+                                        "silbey-harris"])
+    def test_orders_in_any_sequence_give_the_same_rows(self, family, capsys):
+        # one kernel call reads every order off a spectrum: shuffled and repeated
+        # orders give the same rows; displaced-squeezed misses the gate at order
+        # 0.5 (ROADMAP item 1)
+        rows = []
+        for mu in ("inf,2,0.5,1,0.5,5,1e308", "0.5,1,2,5,1e308,inf"):
+            code = cli.main(["sweep", "--family", family, "--oracle", "--grid", "0:1.2:4",
+                             "--mu", mu])
+            assert code == 0
+            rows.append(sorted(set(capsys.readouterr().out.splitlines()[1:])))
+        assert rows[0] == rows[1]
+
+    def test_json_framing_of_a_large_sweep(self, capsys):
+        # 1,201 points of 6 orders: the JSON layout is json.dumps' own at indent 2
+        args = ["sweep", "--family", "silbey-harris", "--grid", "0:300:1201",
+                "--mu", "0,0.5,1,2,5,inf"]
+        assert cli.main([*args, "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert cli.main(args) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7207
 
     @pytest.mark.parametrize("family", cli.FAMILIES)
     def test_tiny_parameters_give_finite_entropies(self, family, tmp_path):
@@ -937,6 +976,15 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("mek: ")
 
+    @pytest.mark.parametrize("command", ["sweep", "thermo-table"])
+    def test_unallocatable_grid_exits_cleanly(self, command, capsys):
+        # 1e17 grid points need 8e17 bytes, more than any address space holds, so
+        # the allocation is refused at once without touching memory
+        assert cli.main([command, "--grid", "0:3:100000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mek: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, run, family, param, error", [
         (["thermo-table", "--grid", "372"], run_thermo_table, "squeezed", 372.0, OverflowError),
         (["sweep", "--family", "silbey-harris", "--grid", "1e6"], run_sweep, "silbey-harris",
@@ -1017,6 +1065,18 @@ class TestMainEntry:
         assert "S D(alpha, beta) = D(alpha', beta') S" in err and "above 37.64" in err
         with pytest.raises(ValueError, match="underflows float64"):
             cli.oracle_squeezed_coherent_spectrum(10.0, cli.SWEEP_DISPLACEMENT)
+
+    def test_underflowing_order_tail_is_not_blamed_on_the_reordering(self, capsys):
+        # the order's occupation tail is sized before the reordered displacement,
+        # so squeezed-coherent names the order as the squeezed family does
+        for family in ("squeezed", "squeezed-coherent"):
+            code = cli.main(["sweep", "--family", family, "--oracle", "--grid", "0",
+                             "--mu", "0.02"])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "mek: Renyi order 0.02 needs an occupation tail of 1e-12^(1/0.02) ~ 1e-600, "
+                "which underflows float64; use a larger order\n"
+            )
 
     def test_squeezed_vacuum_memory_budget_exceeded(self, monkeypatch, capsys):
         # the Schmidt route is checked against the budget too, in bytes
